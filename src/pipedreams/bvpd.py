@@ -7,6 +7,7 @@ maximal-weight subset cut out by a tile census.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .diagrams import (
@@ -18,15 +19,12 @@ from .diagrams import (
     sort_key,
     trace,
     validate,
+    weight,
 )
 from .mvpd import is_top, mvpd_to_pd, pd_to_mvpd
 from .permutations import Perm
-from .polynomials import Monomial, Poly, weight_monomial
+from .polynomials import Poly
 
-# A pipe turns north exactly once more than it turns east, so per row the
-# west-north elbows count the entering pipe plus its south-east turns; that
-# makes {cross, horizontal, west-north elbow} the weight-bearing set here.
-WEIGHTY_BVPD = (Tile.HORIZONTAL, Tile.CROSS, Tile.ELBOW_WN)
 EAST_EXIT_BVPD = (Tile.HORIZONTAL, Tile.CROSS, Tile.ELBOW_SE)
 
 
@@ -40,21 +38,10 @@ def _require_inverse_fireworks(w: Perm) -> None:
         raise ValueError(f"{w.letters}: not inverse fireworks")
 
 
-def weighty_cells_bvpd(d: Diagram) -> frozenset[tuple[int, int]]:
-    """Positions of the weight-bearing tiles."""
-    _require_bvpd(d)
-    return frozenset((i, j) for i, j, t in d.cells() if t in WEIGHTY_BVPD)
-
-
 def east_exit_cells(d: Diagram) -> frozenset[tuple[int, int]]:
     """Positions whose tile sends a pipe east into the next column."""
     _require_bvpd(d)
     return frozenset((i, j) for i, j, t in d.cells() if t in EAST_EXIT_BVPD)
-
-
-def weight(d: Diagram) -> Monomial:
-    """Row-product monomial of the weight-bearing tiles."""
-    return weight_monomial(d.n, (i for i, _ in weighty_cells_bvpd(d)))
 
 
 def is_member_bvpd(d: Diagram, w: Perm) -> bool:
@@ -78,13 +65,7 @@ def enumerate_bvpd(w: Perm) -> tuple[Diagram, ...]:
 
 def top_grothendieck_via_bvpd(w: Perm) -> Poly:
     """Unsigned sum of the diagram weights: the top-degree component."""
-    _require_inverse_fireworks(w)
-    n = w.n
-    acc: dict[Monomial, int] = {}
-    for d in enumerate_bvpd(w):
-        m = weight(d)
-        acc[m] = acc.get(m, 0) + 1
-    return Poly(n, acc)
+    return Poly(w.n, Counter(weight(d) for d in enumerate_bvpd(w)))
 
 
 def mvpd_to_bvpd(d: Diagram, w: Perm) -> Diagram:
@@ -144,8 +125,3 @@ def predicted_cross_cells(d: Diagram) -> frozenset[tuple[int, int]]:
     _require_bvpd(d)
     first = frozenset((i, 1) for i in d.entering_rows)
     return first | frozenset((i, j + 1) for i, j in east_exit_cells(d))
-
-
-def top_bvpd_weights(w: Perm) -> tuple[Monomial, ...]:
-    """The weight multiset, in the canonical diagram order."""
-    return tuple(weight(d) for d in enumerate_bvpd(w))

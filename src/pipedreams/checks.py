@@ -1,14 +1,15 @@
 """Cross-validation sweeps over whole symmetric groups.
 
-Each checker replays one of the structural identities across S_n (or its
-inverse fireworks part) and reports every violation with a witness; these
-are the same routines the command-line ``check`` subcommand runs.
+Each check replays one of the structural identities on every permutation
+of its domain (all of S_n, or its inverse fireworks part) and reports
+every violation with a witness; these are the same routines the
+command-line ``check`` subcommand runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from .bvpd import (
     bvpd_to_mvpd,
@@ -18,10 +19,9 @@ from .bvpd import (
     pd_to_bvpd,
     predicted_cross_cells,
     top_grothendieck_via_bvpd,
-    weight,
 )
 from .construct import check_support_divisibility, check_support_growth
-from .diagrams import sort_key
+from .diagrams import sort_key, weight, weighty_cells
 from .mvpd import (
     double_grothendieck_via_mvpd,
     enumerate_mvpd_direct,
@@ -31,18 +31,16 @@ from .mvpd import (
     pd_to_mvpd,
     tile_census_identity,
     top_mvpd_set,
-    weighty_cells,
 )
 from .permutations import Perm, symmetric_group
 from .pipedream import (
-    cross_cells,
     double_grothendieck,
     grothendieck,
     max_cross_count,
     pd_set,
+    top_grothendieck,
     top_pd_set,
 )
-from .polynomials import weight_monomial
 
 
 @dataclass
@@ -68,183 +66,134 @@ class SweepReport:
         return out
 
 
-def _sweep(name, n, perms, body) -> SweepReport:
-    report = SweepReport(name, n)
-    for w in perms:
-        report.checked += 1
-        body(report, w)
-    return report
-
-
-def _inverse_fireworks(n: int) -> Iterator[Perm]:
-    return (w for w in symmetric_group(n) if w.is_inverse_fireworks())
-
-
-def check_polynomial_routes_agree(n: int) -> SweepReport:
+def _polynomial_routes_agree(report: SweepReport, w: Perm) -> None:
     """Signed weight sums agree between the pipe-dream and marked
     vertical-less routes, in both the single and double versions."""
-
-    def body(report, w):
-        if grothendieck_via_mvpd(w) != grothendieck(w):
-            report.fail(f"w={w}: single-variable sums differ")
-        if double_grothendieck_via_mvpd(w) != double_grothendieck(w):
-            report.fail(f"w={w}: double sums differ")
-
-    return _sweep("eq1-vs-cor37", n, symmetric_group(n), body)
+    if grothendieck_via_mvpd(w) != grothendieck(w):
+        report.fail(f"w={w}: single-variable sums differ")
+    if double_grothendieck_via_mvpd(w) != double_grothendieck(w):
+        report.fail(f"w={w}: double sums differ")
 
 
-def check_removal_bijection(n: int) -> SweepReport:
+def _removal_bijection(report: SweepReport, w: Perm) -> None:
     """The pipe-removal map is a weight-preserving bijection onto the
     directly enumerated marked set, with exact round trips."""
-
-    def body(report, w):
-        pds = pd_set(w)
-        ms = mvpd_set(w)
-        if len(set(ms)) != len(pds):
-            report.fail(f"w={w}: image size {len(set(ms))} != {len(pds)}")
-        for p in pds:
-            m = pd_to_mvpd(p, w)
-            if cross_cells(p) != weighty_cells(m):
-                report.fail(f"w={w}: weighty cells moved\n{p.render_text()}")
-            if mvpd_to_pd(m, w) != p:
-                report.fail(f"w={w}: round trip broke\n{p.render_text()}")
-        if ms != enumerate_mvpd_direct(w):
-            report.fail(f"w={w}: image differs from direct enumeration")
-
-    return _sweep("prop36", n, symmetric_group(n), body)
+    pds = pd_set(w)
+    ms = mvpd_set(w)
+    if len(set(ms)) != len(pds):
+        report.fail(f"w={w}: image size {len(set(ms))} != {len(pds)}")
+    for p in pds:
+        m = pd_to_mvpd(p, w)
+        if weighty_cells(p) != weighty_cells(m):
+            report.fail(f"w={w}: weighty cells moved\n{p.render_text()}")
+        if mvpd_to_pd(m, w) != p:
+            report.fail(f"w={w}: round trip broke\n{p.render_text()}")
+    if ms != enumerate_mvpd_direct(w):
+        report.fail(f"w={w}: image differs from direct enumeration")
 
 
-def check_top_degree_formula(n: int) -> SweepReport:
+def _top_degree_formula(report: SweepReport, w: Perm) -> None:
     """The unsigned bumpless sum equals the sign-corrected top component."""
-
-    def body(report, w):
-        sign = -1 if (max_cross_count(w) - w.inversions()) % 2 else 1
-        top = grothendieck(w).top_component().scale(sign)
-        if top_grothendieck_via_bvpd(w) != top:
-            report.fail(f"w={w}: bumpless formula disagrees with enumeration")
-
-    return _sweep("thm43", n, _inverse_fireworks(n), body)
+    if top_grothendieck_via_bvpd(w) != top_grothendieck(w):
+        report.fail(f"w={w}: bumpless formula disagrees with enumeration")
 
 
-def check_top_pd_bijection(n: int) -> SweepReport:
+def _top_pd_bijection(report: SweepReport, w: Perm) -> None:
     """The composite map carries the bumpless set onto the maximal-cross
     pipe dreams and its crosses sit where the east exits predict."""
-
-    def body(report, w):
-        bs = enumerate_bvpd(w)
-        image = sorted((bvpd_to_pd(b, w) for b in bs), key=sort_key)
-        tops = sorted(top_pd_set(w), key=sort_key)
-        if image != tops:
-            report.fail(f"w={w}: image is not the maximal-cross set")
-        for b in bs:
-            p = bvpd_to_pd(b, w)
-            if cross_cells(p) != predicted_cross_cells(b):
-                report.fail(f"w={w}: cross positions mispredicted\n{b.render_text()}")
-            if pd_to_bvpd(p, w) != b:
-                report.fail(f"w={w}: round trip broke\n{b.render_text()}")
-
-    return _sweep("thm44", n, _inverse_fireworks(n), body)
+    bs = enumerate_bvpd(w)
+    image = sorted((bvpd_to_pd(b, w) for b in bs), key=sort_key)
+    tops = sorted(top_pd_set(w), key=sort_key)
+    if image != tops:
+        report.fail(f"w={w}: image is not the maximal-cross set")
+    for b in bs:
+        p = bvpd_to_pd(b, w)
+        if weighty_cells(p) != predicted_cross_cells(b):
+            report.fail(f"w={w}: cross positions mispredicted\n{b.render_text()}")
+        if pd_to_bvpd(p, w) != b:
+            report.fail(f"w={w}: round trip broke\n{b.render_text()}")
 
 
-def check_mvpd_bvpd_bijection(n: int) -> SweepReport:
+def _mvpd_bvpd_bijection(report: SweepReport, w: Perm) -> None:
     """Column deletion is a weight-preserving bijection between the
     maximal-weight marked set and the bumpless set."""
-
-    def body(report, w):
-        tops = top_mvpd_set(w)
-        bs = enumerate_bvpd(w)
-        image = sorted((mvpd_to_bvpd(m, w) for m in tops), key=sort_key)
-        if image != sorted(bs, key=sort_key):
-            report.fail(f"w={w}: column deletion misses the bumpless set")
-        for m in tops:
-            b = mvpd_to_bvpd(m, w)
-            if weight_monomial(w.n, (i for i, _ in weighty_cells(m))) != weight(b):
-                report.fail(f"w={w}: weight changed\n{m.render_text()}")
-            if bvpd_to_mvpd(b, w) != m:
-                report.fail(f"w={w}: round trip broke\n{m.render_text()}")
-
-    return _sweep("prop49", n, _inverse_fireworks(n), body)
+    tops = top_mvpd_set(w)
+    bs = enumerate_bvpd(w)
+    image = sorted((mvpd_to_bvpd(m, w) for m in tops), key=sort_key)
+    if image != sorted(bs, key=sort_key):
+        report.fail(f"w={w}: column deletion misses the bumpless set")
+    for m in tops:
+        b = mvpd_to_bvpd(m, w)
+        if weight(m) != weight(b):
+            report.fail(f"w={w}: weight changed\n{m.render_text()}")
+        if bvpd_to_mvpd(b, w) != m:
+            report.fail(f"w={w}: round trip broke\n{m.render_text()}")
 
 
-def check_tile_census(n: int, inverse_fireworks_only: bool = False) -> SweepReport:
+def _tile_census(report: SweepReport, w: Perm) -> None:
     """weighty + bumps + unmarked elbows equals the pipe travel, everywhere."""
-
-    def body(report, w):
-        for m in mvpd_set(w):
-            if not tile_census_identity(m, w):
-                report.fail(f"w={w}: census identity fails\n{m.render_text()}")
-
-    perms = _inverse_fireworks(n) if inverse_fireworks_only else symmetric_group(n)
-    return _sweep("lemma46", n, perms, body)
+    for m in mvpd_set(w):
+        if not tile_census_identity(m, w):
+            report.fail(f"w={w}: census identity fails\n{m.render_text()}")
 
 
-def check_degree_vs_major_index(n: int) -> SweepReport:
+def _degree_vs_major_index(report: SweepReport, w: Perm) -> None:
     """The enumerated degree equals the major index exactly on fireworks
     permutations."""
-
-    def body(report, w):
-        if (max_cross_count(w) == w.major_index()) != w.is_fireworks():
-            report.fail(f"w={w}: degree/major-index equivalence fails")
-
-    return _sweep("prop25", n, symmetric_group(n), body)
+    if (max_cross_count(w) == w.major_index()) != w.is_fireworks():
+        report.fail(f"w={w}: degree/major-index equivalence fails")
 
 
-def check_degree_inverse_symmetric(n: int) -> SweepReport:
+def _degree_inverse_symmetric(report: SweepReport, w: Perm) -> None:
     """The enumerated degree is invariant under inversion."""
-
-    def body(report, w):
-        if max_cross_count(w) != max_cross_count(w.inverse):
-            report.fail(f"w={w}: degree changes under inversion")
-
-    return _sweep("cor26", n, symmetric_group(n), body)
+    if max_cross_count(w) != max_cross_count(w.inverse):
+        report.fail(f"w={w}: degree changes under inversion")
 
 
-def check_support_divisibility_sweep(n: int) -> SweepReport:
-    def body(report, w):
-        r = check_support_divisibility(w)
-        if not r.ok:
-            report.fail(f"w={w}: " + "; ".join(r.failures))
-
-    return _sweep("conj12", n, symmetric_group(n), body)
+def _support_divisibility(report: SweepReport, w: Perm) -> None:
+    r = check_support_divisibility(w)
+    if not r.ok:
+        report.fail(f"w={w}: " + "; ".join(r.failures))
 
 
-def check_support_growth_sweep(n: int, inverse_fireworks_only: bool = False) -> SweepReport:
+def _support_growth(report: SweepReport, w: Perm) -> None:
     """Direct support growth everywhere; constructed certificates on the
     inverse fireworks part."""
-
-    def body(report, w):
-        r = check_support_growth(w, "direct")
-        if not r.ok:
-            report.fail(f"w={w}: " + "; ".join(r.failures))
-        if w.is_inverse_fireworks():
-            rc = check_support_growth(w, "constructive")
-            if not rc.ok:
-                report.fail(f"w={w} (constructive): " + "; ".join(rc.failures))
-
-    perms = _inverse_fireworks(n) if inverse_fireworks_only else symmetric_group(n)
-    return _sweep("conj13", n, perms, body)
+    r = check_support_growth(w, "direct")
+    if not r.ok:
+        report.fail(f"w={w}: " + "; ".join(r.failures))
+    if w.is_inverse_fireworks():
+        rc = check_support_growth(w, "constructive")
+        if not rc.ok:
+            report.fail(f"w={w} (constructive): " + "; ".join(rc.failures))
 
 
-CHECKS: dict[str, Callable[..., SweepReport]] = {
-    "eq1-vs-cor37": check_polynomial_routes_agree,
-    "prop36": check_removal_bijection,
-    "thm43": check_top_degree_formula,
-    "thm44": check_top_pd_bijection,
-    "prop49": check_mvpd_bvpd_bijection,
-    "lemma46": check_tile_census,
-    "prop25": check_degree_vs_major_index,
-    "cor26": check_degree_inverse_symmetric,
-    "conj12": check_support_divisibility_sweep,
-    "conj13": check_support_growth_sweep,
+# Each check's per-permutation body, and whether its domain is the inverse
+# fireworks part of S_n (True) or all of it (False).
+CHECKS: dict[str, tuple[Callable[[SweepReport, Perm], None], bool]] = {
+    "eq1-vs-cor37": (_polynomial_routes_agree, False),
+    "prop36": (_removal_bijection, False),
+    "thm43": (_top_degree_formula, True),
+    "thm44": (_top_pd_bijection, True),
+    "prop49": (_mvpd_bvpd_bijection, True),
+    "lemma46": (_tile_census, False),
+    "prop25": (_degree_vs_major_index, False),
+    "cor26": (_degree_inverse_symmetric, False),
+    "conj12": (_support_divisibility, False),
+    "conj13": (_support_growth, False),
 }
-
-_TAKES_FIREWORKS_FLAG = {"lemma46", "conj13"}
 
 
 def run_check(name: str, n: int, inverse_fireworks_only: bool = False) -> SweepReport:
+    """Sweep one check over its domain in S_n, narrowed to the inverse
+    fireworks permutations on request."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-    fn = CHECKS[name]
-    if name in _TAKES_FIREWORKS_FLAG:
-        return fn(n, inverse_fireworks_only)
-    return fn(n)
+    body, fireworks_domain = CHECKS[name]
+    report = SweepReport(name, n)
+    for w in symmetric_group(n):
+        if (fireworks_domain or inverse_fireworks_only) and not w.is_inverse_fireworks():
+            continue
+        report.checked += 1
+        body(report, w)
+    return report

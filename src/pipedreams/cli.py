@@ -10,19 +10,23 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
-from .bvpd import bvpd_to_mvpd, bvpd_to_pd, enumerate_bvpd, mvpd_to_bvpd, pd_to_bvpd
+from . import pipedream
+from .bvpd import (
+    bvpd_to_mvpd,
+    bvpd_to_pd,
+    enumerate_bvpd,
+    mvpd_to_bvpd,
+    pd_to_bvpd,
+    top_grothendieck_via_bvpd,
+)
 from .checks import CHECKS, run_check
-from .construct import construct_up
-from .diagrams import Diagram, DiagramError, Kind
+from .construct import construct_up, droop_prime
+from .diagrams import Diagram, DiagramError, Kind, Tile
 from .mvpd import enumerate_mvpd_direct, mvpd_set, mvpd_to_pd, pd_to_mvpd
 from .permutations import Perm
-from .pipedream import (
-    double_grothendieck,
-    grothendieck,
-    max_cross_count,
-    pd_set,
-)
+from .pipedream import double_grothendieck, enumerate_all, grothendieck, pd_set, top_grothendieck
 from .polynomials import Poly
 
 
@@ -57,7 +61,9 @@ _MAPS = {
 }
 
 
-def _read_diagram(path: str, kind: Kind | None) -> Diagram:
+def _read_diagram(path: str, kinds: Sequence[Kind]) -> Diagram:
+    """A diagram file: JSON (which names its species), or bare text read as
+    the first of ``kinds`` that accepts it."""
     try:
         text = Path(path).read_text().rstrip("\n")
     except OSError as exc:
@@ -67,14 +73,14 @@ def _read_diagram(path: str, kind: Kind | None) -> Diagram:
             return Diagram.from_json(json.loads(text))
         except (json.JSONDecodeError, KeyError, ValueError, DiagramError) as exc:
             raise UsageError(f"{path}: {exc}") from None
-    if kind is None:
-        raise UsageError(f"{path}: bare text needs a known diagram kind")
-    lines = text.split("\n")
-    n = len(lines)
-    try:
-        return Diagram.parse_text(kind, n, text)
-    except DiagramError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+    n = text.count("\n") + 1
+    problems = []
+    for kind in kinds:
+        try:
+            return Diagram.parse_text(kind, n, text)
+        except DiagramError as exc:
+            problems.append(f"not a {kind.value}: {exc}")
+    raise UsageError(f"{path}: " + "; ".join(problems))
 
 
 def _poly_out(p: Poly, as_json: bool) -> str:
@@ -91,29 +97,24 @@ def _cmd_poly(args) -> int:
 def _cmd_top(args) -> int:
     w = _parse_w(args.w)
     if w.is_inverse_fireworks():
-        from .bvpd import top_grothendieck_via_bvpd
-
         p = top_grothendieck_via_bvpd(w)
     else:
         print(
             "notice: not inverse fireworks; extracting the top component by enumeration",
             file=sys.stderr,
         )
-        sign = -1 if (max_cross_count(w) - w.inversions()) % 2 else 1
-        p = grothendieck(w).top_component().scale(sign)
+        p = top_grothendieck(w)
     print(_poly_out(p, args.json))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    from . import pipedream as engine
-
     w = _parse_w(args.w)
     if args.kind == "pd":
         ds = pd_set(w)
     elif args.kind == "mvpd":
         # Beyond the exhaustive-sweep bound, the backtracking oracle still works.
-        ds = mvpd_set(w) if w.n <= engine.DEFAULT_MAX_N else enumerate_mvpd_direct(w)
+        ds = mvpd_set(w) if w.n <= pipedream.DEFAULT_MAX_N else enumerate_mvpd_direct(w)
     else:
         ds = enumerate_bvpd(w)
     if args.json:
@@ -125,7 +126,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_map(args) -> int:
     w = _parse_w(args.w)
-    d = _read_diagram(args.infile, _MAP_INPUT_KIND[args.which])
+    d = _read_diagram(args.infile, (_MAP_INPUT_KIND[args.which],))
     try:
         out = _MAPS[args.which](d, w)
     except (ValueError, DiagramError) as exc:
@@ -136,7 +137,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_construct_up(args) -> int:
     w = _parse_w(args.w)
-    d = _read_diagram(args.infile, Kind.MVPD)
+    d = _read_diagram(args.infile, (Kind.MVPD,))
     try:
         cert = construct_up(d, w)
     except (ValueError, DiagramError) as exc:
@@ -145,16 +146,12 @@ def _cmd_construct_up(args) -> int:
         print("input:")
         print(d.render_text())
         replay = d
-        from .diagrams import Tile
-
         for step in cert.steps:
             if step.op == "mark":
                 replay = replay.with_tiles({step.cell: Tile.MARKED_SE})
             elif step.op == "bump_to_cross":
                 replay = replay.with_tiles({step.cell: Tile.CROSS})
             else:
-                from .construct import droop_prime
-
                 replay = droop_prime(replay, step.cell[0], step.cell[1], w)
             print(f"after {step.op} at {step.cell}:")
             print(replay.render_text())
@@ -163,14 +160,12 @@ def _cmd_construct_up(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from . import pipedream as engine
-
-    if args.n > engine.DEFAULT_MAX_N:
+    bound = pipedream.DEFAULT_MAX_N
+    if args.n > bound:
         if not args.force:
-            raise UsageError(
-                f"n={args.n} above the default bound {engine.DEFAULT_MAX_N}; pass --force"
-            )
-        engine.DEFAULT_MAX_N = args.n
+            raise UsageError(f"n={args.n} above the default bound {bound}; pass --force")
+        # Built above the bound here, the index then serves the sweep's queries.
+        enumerate_all(args.n, max_n=args.n)
     report = run_check(args.what, args.n, args.inverse_fireworks_only)
     for line in report.lines():
         print(line)
@@ -178,15 +173,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    text = Path(args.infile).read_text().rstrip("\n")
-    if text.lstrip().startswith("{"):
-        try:
-            d = Diagram.from_json(json.loads(text))
-        except (json.JSONDecodeError, KeyError, ValueError, DiagramError) as exc:
-            raise UsageError(f"{args.infile}: {exc}") from None
-        print(d.render_text())
-    else:
-        print(text)
+    print(_read_diagram(args.infile, tuple(Kind)).render_text())
     return 0
 
 
@@ -210,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list the diagrams of a permutation")
     p.add_argument("--kind", required=True, choices=["pd", "mvpd", "bvpd"])
     p.add_argument("--w", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true")
-    group.add_argument("--text", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("map", help="apply one of the bijections to a diagram file")

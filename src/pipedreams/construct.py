@@ -13,17 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Diagram, DiagramError, Kind, Tile, trace
-from .mvpd import (
-    find_upgrade,
-    is_member,
-    is_top,
-    mvpd_set,
-    weighty_cells,
-)
+from .diagrams import Diagram, DiagramError, Kind, Tile, trace, weight, weighty_cells
+from .mvpd import find_upgrade, is_member, is_top, mvpd_set
 from .permutations import Perm
 from .pipedream import grothendieck, max_cross_count
-from .polynomials import weight_monomial
 
 
 @dataclass(frozen=True)
@@ -196,8 +189,8 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
 def _finish(w, start, steps, out, gained_row) -> Certificate:
     if not is_member(out, w):
         raise DiagramError("constructed diagram left the set")
-    want = weight_monomial(w.n, (i for i, _ in weighty_cells(start))).times_x(gained_row)
-    got = weight_monomial(w.n, (i for i, _ in weighty_cells(out)))
+    want = weight(start).times_x(gained_row)
+    got = weight(out)
     if want != got:
         raise DiagramError(f"constructed weight {got} is not the input weight times x{gained_row}")
     return Certificate(w, start, tuple(steps), out, gained_row)
@@ -229,7 +222,8 @@ def w_str(w: Perm) -> str:
 def check_support_growth(w: Perm, mode: str = "direct") -> ConjectureReport:
     """Every non-maximal support monomial stays in the support after
     multiplying by some x_i (checked directly, or via constructed
-    certificates for inverse fireworks input)."""
+    certificates for inverse fireworks input).  A diagram that the
+    constructor cannot raise is a failure, reported with the diagram."""
     supp = grothendieck(w).support()
     degree = max_cross_count(w)
     if mode == "direct":
@@ -253,9 +247,13 @@ def check_support_growth(w: Perm, mode: str = "direct") -> ConjectureReport:
         if is_top(d, w):
             continue
         checked += 1
-        cert = construct_up(d, w)
+        try:
+            cert = construct_up(d, w)
+        except DiagramError as exc:
+            failures.append(f"no certificate for\n{d.render_text()}\n{exc}")
+            continue
         certs.append(cert)
-        raised = weight_monomial(w.n, (i for i, _ in weighty_cells(cert.output)))
+        raised = weight(cert.output)
         if raised not in supp:
             failures.append(f"certificate weight {raised.text()} missing from the support")
     return ConjectureReport(w, mode, not failures, checked, tuple(failures), tuple(certs))

@@ -1,4 +1,5 @@
-"""Tile grids shared by the three diagram species, plus the pipe tracer.
+"""Tile grids shared by the three diagram species, the pipe tracer, and the
+signed weight sum that all three species compute.
 
 Coordinates are one-based ``(row, column)`` with row 1 at the top, so a
 "lower" tile has a larger row index.  Pipes enter from the left edge, move
@@ -12,7 +13,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .permutations import Code
+from .permutations import Code, Perm
+from .polynomials import Monomial, Poly, weight_factor_product
 
 
 class DiagramError(Exception):
@@ -267,11 +269,6 @@ def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
     )
 
 
-def column_to_row_code(d: Diagram) -> Code:
-    """Per column, the entering row of the pipe exiting there (0 if none)."""
-    return trace(d, record_paths=False).code
-
-
 def validate(d: Diagram) -> list[str]:
     """All invariant violations of the diagram's species (empty list = valid)."""
     out: list[str] = []
@@ -295,10 +292,6 @@ def validate(d: Diagram) -> list[str]:
     if d.kind is Kind.MVPD and any(t is Tile.MARKED_SE for _, _, t in d.cells()):
         out.extend(mark_violations(d, trace(d)))
     return out
-
-
-def is_valid(d: Diagram) -> bool:
-    return not validate(d)
 
 
 def mark_violations(d: Diagram, tr: TraceResult) -> list[str]:
@@ -378,3 +371,44 @@ def enumerate_structures(kind: Kind, n: int, entering: Iterable[int]) -> Iterato
 def sort_key(d: Diagram) -> str:
     """Canonical ordering key for sets of diagrams."""
     return d.render_text()
+
+
+# The weight-bearing tiles of each species.  In a BVPD a pipe turns north
+# exactly once more than it turns east, so per row the west-north elbows
+# count the entering pipe plus its south-east turns; that makes {cross,
+# horizontal, west-north elbow} the weight-bearing set there.
+WEIGHTY: dict[Kind, tuple[Tile, ...]] = {
+    Kind.PD: (Tile.CROSS,),
+    Kind.MVPD: (Tile.HORIZONTAL, Tile.CROSS, Tile.MARKED_SE),
+    Kind.BVPD: (Tile.HORIZONTAL, Tile.CROSS, Tile.ELBOW_WN),
+}
+
+
+def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
+    """Positions of the weight-bearing tiles of the diagram's species."""
+    weighty = WEIGHTY[d.kind]
+    return frozenset((i, j) for i, j, t in d.cells() if t in weighty)
+
+
+def weight(d: Diagram) -> Monomial:
+    """Row-product monomial of the weight-bearing tiles."""
+    return Monomial.from_rows(d.n, (i for i, _ in weighty_cells(d)))
+
+
+def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -> Poly:
+    """Sum of (-1)^(k - inversions(w)) times the weight of each diagram, where
+    k counts its weighty tiles.  The double weight is the product of
+    x_i + y_j - x_i*y_j over the weighty cells (i, j)."""
+    n = w.n
+    ell = w.inversions()
+    acc: dict[Monomial, int] = {}
+    for d in ds:
+        cells = weighty_cells(d)
+        sign = -1 if (len(cells) - ell) % 2 else 1
+        if double:
+            terms = weight_factor_product(n, sorted(cells)).items()
+        else:
+            terms = ((Monomial.from_rows(n, (i for i, _ in cells)), 1),)
+        for m, c in terms:
+            acc[m] = acc.get(m, 0) + sign * c
+    return Poly(n, acc)

@@ -20,22 +20,15 @@ from .diagrams import (
     TraceResult,
     enumerate_structures,
     pipe_has_lower_horizontal,
+    signed_weight_sum,
     sort_key,
     trace,
     validate,
+    weighty_cells,
 )
 from .permutations import Perm
-from .pipedream import pd_set
-from .polynomials import Monomial, Poly, weight_factor_product, weight_monomial
-
-WEIGHTY_MVPD = (Tile.HORIZONTAL, Tile.CROSS, Tile.MARKED_SE)
-
-
-def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
-    """Positions of horizontal, cross, and marked-elbow tiles."""
-    if d.kind is not Kind.MVPD:
-        raise ValueError(f"expected an MVPD, got {d.kind.value}")
-    return frozenset((i, j) for i, j, t in d.cells() if t in WEIGHTY_MVPD)
+from .pipedream import max_cross_count, pd_set
+from .polynomials import Poly
 
 
 def is_member(d: Diagram, w: Perm) -> bool:
@@ -163,26 +156,11 @@ def _markable(d: Diagram, tr: TraceResult, i: int, j: int) -> bool:
 
 
 def grothendieck_via_mvpd(w: Perm) -> Poly:
-    n = w.n
-    ell = w.inversions()
-    acc: dict[Monomial, int] = {}
-    for d in mvpd_set(w):
-        cs = weighty_cells(d)
-        m = weight_monomial(n, (i for i, _ in cs))
-        sign = -1 if (len(cs) - ell) % 2 else 1
-        acc[m] = acc.get(m, 0) + sign
-    return Poly(n, acc)
+    return signed_weight_sum(w, mvpd_set(w))
 
 
 def double_grothendieck_via_mvpd(w: Perm) -> Poly:
-    n = w.n
-    ell = w.inversions()
-    acc = Poly.zero(n)
-    for d in mvpd_set(w):
-        cs = weighty_cells(d)
-        sign = -1 if (len(cs) - ell) % 2 else 1
-        acc = acc + weight_factor_product(n, sorted(cs)).scale(sign)
-    return acc
+    return signed_weight_sum(w, mvpd_set(w), double=True)
 
 
 def tile_census_identity(d: Diagram, w: Perm) -> bool:
@@ -195,12 +173,12 @@ def is_top(d: Diagram, w: Perm) -> bool:
     """Membership in the maximal-weight subset.
 
     For inverse fireworks w this is the tile census (no bumps, no unmarked
-    elbows); otherwise fall back to comparing against the enumerated maximum.
+    elbows); otherwise compare with the maximal cross count of w's pipe
+    dreams, as the removal bijection keeps the weighty cells in place.
     """
     if w.is_inverse_fireworks():
         return not any(t in (Tile.BUMP, Tile.ELBOW_SE) for _, _, t in d.cells())
-    best = max(len(weighty_cells(m)) for m in mvpd_set(w))
-    return len(weighty_cells(d)) == best
+    return len(weighty_cells(d)) == max_cross_count(w)
 
 
 def top_mvpd_set(w: Perm) -> tuple[Diagram, ...]:
@@ -229,8 +207,3 @@ def find_upgrade(d: Diagram, w: Perm) -> tuple[tuple[int, int], Tile] | None:
         if is_member(upgraded, w):
             return (i, j), candidate
     return None
-
-
-def is_saturated(d: Diagram, w: Perm) -> bool:
-    """No single-tile upgrade is available."""
-    return find_upgrade(d, w) is None

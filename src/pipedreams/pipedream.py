@@ -7,18 +7,16 @@ queries go through that index.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Mapping
 
-from .diagrams import Diagram, Kind, Tile, sort_key, trace
+from .diagrams import Diagram, Kind, Tile, signed_weight_sum, sort_key, trace, weighty_cells
 from .permutations import Perm
-from .polynomials import Monomial, Poly, weight_factor_product, weight_monomial
+from .polynomials import Poly
 
-# Size guard for the 2^(n(n-1)/2) sweep; raise it deliberately (or pass
-# max_n) to go beyond desk scale.
+# Size guard for the 2^(n(n-1)/2) sweep; pass max_n to enumerate_all to go
+# beyond desk scale.
 DEFAULT_MAX_N = 7
 
 
@@ -53,38 +51,26 @@ def pd_from_crosses(n: int, crosses: frozenset[tuple[int, int]]) -> Diagram:
     return Diagram(Kind.PD, n, tuple(grid))
 
 
-def cross_cells(d: Diagram) -> frozenset[tuple[int, int]]:
-    """Positions of the cross tiles (the weighty tiles of a pipe dream)."""
-    if d.kind is not Kind.PD:
-        raise ValueError(f"expected a PD, got {d.kind.value}")
-    return frozenset((i, j) for i, j, t in d.cells() if t is Tile.CROSS)
-
-
 _INDEX_CACHE: dict[int, PipeDreamIndex] = {}
 
 
-def enumerate_all(
-    n: int, *, max_n: int | None = None, cache_path: str | Path | None = None
-) -> PipeDreamIndex:
-    """Index every one of the 2^(n(n-1)/2) fillings by its permutation."""
+def enumerate_all(n: int, *, max_n: int | None = None) -> PipeDreamIndex:
+    """Index every one of the 2^(n(n-1)/2) fillings by its permutation.
+
+    An index already built (under any bound) is returned as it is; the
+    bound only guards a new build."""
+    if n in _INDEX_CACHE:
+        return _INDEX_CACHE[n]
     bound = DEFAULT_MAX_N if max_n is None else max_n
     if not 1 <= n <= bound:
         raise ValueError(f"n={n} outside the configured bound 1..{bound}")
-    if n in _INDEX_CACHE:
-        return _INDEX_CACHE[n]
     cells = choice_cells(n)
     groups: dict[Perm, list[Diagram]] = {}
-    loaded = _load_cache(n, cells, cache_path) if cache_path else None
-    if loaded is not None:
-        groups = loaded
-    else:
-        for bits in range(1 << len(cells)):
-            crosses = frozenset(c for k, c in enumerate(cells) if bits >> k & 1)
-            d = pd_from_crosses(n, crosses)
-            reading = trace(d, record_paths=False).top_reading
-            groups.setdefault(Perm(reading).inverse, []).append(d)
-        if cache_path:
-            _write_cache(n, cells, groups, cache_path)
+    for bits in range(1 << len(cells)):
+        crosses = frozenset(c for k, c in enumerate(cells) if bits >> k & 1)
+        d = pd_from_crosses(n, crosses)
+        reading = trace(d, record_paths=False).top_reading
+        groups.setdefault(Perm(reading).inverse, []).append(d)
     index = PipeDreamIndex(
         n, {w: tuple(sorted(ds, key=sort_key)) for w, ds in groups.items()}
     )
@@ -92,74 +78,38 @@ def enumerate_all(
     return index
 
 
-def _cross_bits(d: Diagram, cells: list[tuple[int, int]]) -> int:
-    crosses = cross_cells(d)
-    return sum(1 << k for k, c in enumerate(cells) if c in crosses)
-
-
-def _write_cache(n, cells, groups, path) -> None:
-    with open(path, "w") as fh:
-        for w, ds in sorted(groups.items(), key=lambda kv: kv[0].letters):
-            for d in ds:
-                fh.write(json.dumps({"bits": _cross_bits(d, cells), "w": w.to_json()}))
-                fh.write("\n")
-
-
-def _load_cache(n, cells, path) -> dict[Perm, list[Diagram]] | None:
-    path = Path(path)
-    if not path.exists():
-        return None
-    groups: dict[Perm, list[Diagram]] = {}
-    with open(path) as fh:
-        for line in fh:
-            entry = json.loads(line)
-            crosses = frozenset(c for k, c in enumerate(cells) if entry["bits"] >> k & 1)
-            groups.setdefault(Perm.from_json(entry["w"]), []).append(
-                pd_from_crosses(n, crosses)
-            )
-    return groups
-
-
-def pd_set(w: Perm, *, max_n: int | None = None) -> tuple[Diagram, ...]:
+def pd_set(w: Perm) -> tuple[Diagram, ...]:
     """All pipe dreams whose traced top reading is the inverse of w."""
-    return enumerate_all(w.n, max_n=max_n).pds(w)
+    return enumerate_all(w.n).pds(w)
 
 
 @lru_cache(maxsize=None)
 def grothendieck(w: Perm) -> Poly:
     """Signed sum of cross-row monomials over the pipe dreams of w."""
-    n = w.n
-    ell = w.inversions()
-    acc: dict[Monomial, int] = {}
-    for d in pd_set(w):
-        cs = cross_cells(d)
-        m = weight_monomial(n, (i for i, _ in cs))
-        sign = -1 if (len(cs) - ell) % 2 else 1
-        acc[m] = acc.get(m, 0) + sign
-    return Poly(n, acc)
+    return signed_weight_sum(w, pd_set(w))
 
 
 @lru_cache(maxsize=None)
 def double_grothendieck(w: Perm) -> Poly:
     """Signed sum of the expanded (x_i + y_j - x_i*y_j) cell products."""
-    n = w.n
-    ell = w.inversions()
-    acc = Poly.zero(n)
-    for d in pd_set(w):
-        cs = cross_cells(d)
-        sign = -1 if (len(cs) - ell) % 2 else 1
-        acc = acc + weight_factor_product(n, sorted(cs)).scale(sign)
-    return acc
+    return signed_weight_sum(w, pd_set(w), double=True)
 
 
 @lru_cache(maxsize=None)
 def max_cross_count(w: Perm) -> int:
     """Largest cross count over the pipe dreams of w (the degree of its
     signed weight sum); computed by enumeration."""
-    return max(len(cross_cells(d)) for d in pd_set(w))
+    return max(len(weighty_cells(d)) for d in pd_set(w))
 
 
 def top_pd_set(w: Perm) -> tuple[Diagram, ...]:
     """The pipe dreams of w attaining the maximal cross count."""
     best = max_cross_count(w)
-    return tuple(d for d in pd_set(w) if len(cross_cells(d)) == best)
+    return tuple(d for d in pd_set(w) if len(weighty_cells(d)) == best)
+
+
+def top_grothendieck(w: Perm) -> Poly:
+    """The top-degree component of the Grothendieck polynomial, its signs
+    made positive; computed by enumeration."""
+    sign = -1 if (max_cross_count(w) - w.inversions()) % 2 else 1
+    return grothendieck(w).top_component().scale(sign)

@@ -222,11 +222,6 @@ class Poly:
         return cls(n, terms)
 
 
-def weight_monomial(n: int, rows: Iterable[int]) -> Monomial:
-    """The x-monomial counting row multiplicities of a weighty-tile multiset."""
-    return Monomial.from_rows(n, rows)
-
-
 def weight_factor(n: int, i: int, j: int) -> Poly:
     """The double-weight factor x_i + y_j - x_i*y_j for one cell."""
     if not (1 <= i <= n and 1 <= j <= n):
@@ -246,11 +241,3 @@ def weight_factor_product(n: int, cells: Iterable[tuple[int, int]]) -> Poly:
     for i, j in cells:
         out = out * weight_factor(n, i, j)
     return out
-
-
-def signed_sum(n: int, items: Iterable[tuple[int, Poly]]) -> Poly:
-    """Exact accumulation of sign-scaled polynomials."""
-    acc = Poly.zero(n)
-    for sign, p in items:
-        acc = acc + p.scale(sign)
-    return acc

@@ -16,25 +16,23 @@ from pipedreams.bvpd import (
 )
 from pipedreams.checks import run_check
 from pipedreams.construct import check_support_divisibility, check_support_growth, construct_up
-from pipedreams.diagrams import sort_key
+from pipedreams.diagrams import sort_key, weight, weighty_cells
 from pipedreams.mvpd import (
     enumerate_mvpd_direct,
     is_top,
     mvpd_set,
     tile_census_identity,
     top_mvpd_set,
-    weighty_cells,
 )
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import (
-    cross_cells,
     double_grothendieck,
     grothendieck,
     max_cross_count,
     pd_set,
     top_pd_set,
 )
-from pipedreams.polynomials import weight_factor_product, weight_monomial
+from pipedreams.polynomials import weight_factor_product
 
 W2413 = Perm.from_one_line([2, 4, 1, 3])
 W165234 = Perm.from_one_line([1, 6, 5, 2, 3, 4])
@@ -121,7 +119,7 @@ def test_criterion_06_bijection_sweep_s6():
         ):
             ok, detail = False, f"composite image wrong at w={w}"
             break
-        if not all(cross_cells(bvpd_to_pd(b, w)) == predicted_cross_cells(b) for b in bs):
+        if not all(weighty_cells(bvpd_to_pd(b, w)) == predicted_cross_cells(b) for b in bs):
             ok, detail = False, f"cross characterization fails at w={w}"
             break
         if not all(pd_to_bvpd(bvpd_to_pd(b, w), w) == b for b in bs):
@@ -162,8 +160,8 @@ def test_criterion_09_constructor_s5():
             # construct_up raises if the ledger, membership, or the
             # column-sum bound is ever violated.
             cert = construct_up(m, w)
-            before = weight_monomial(5, [i for i, _ in weighty_cells(m)])
-            after = weight_monomial(5, [i for i, _ in weighty_cells(cert.output)])
+            before = weight(m)
+            after = weight(cert.output)
             if after != before.times_x(cert.gained_row):
                 ok, detail = False, f"weight not raised at w={w}"
                 break
@@ -194,7 +192,7 @@ def test_criterion_10_support_conjectures():
         ok &= report.ok
         supp = grothendieck(w).support()
         ok &= all(
-            weight_monomial(5, [i for i, _ in weighty_cells(c.output)]) in supp
+            weight(c.output) in supp
             for c in report.certificates
         )
     verdict("criterion 10: support conjectures at desk scale", ok, t0, 120.0)

@@ -8,16 +8,12 @@ from pipedreams.bvpd import (
     mvpd_to_bvpd,
     pd_to_bvpd,
     predicted_cross_cells,
-    top_bvpd_weights,
     top_grothendieck_via_bvpd,
-    weight,
-    weighty_cells_bvpd,
 )
-from pipedreams.diagrams import Diagram, Kind, Tile, sort_key, validate
-from pipedreams.mvpd import is_top, mvpd_set, top_mvpd_set, weighty_cells
+from pipedreams.diagrams import Tile, sort_key, validate, weight, weighty_cells
+from pipedreams.mvpd import is_top, mvpd_set, top_mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
-from pipedreams.pipedream import cross_cells, grothendieck, max_cross_count, top_pd_set
-from pipedreams.polynomials import weight_monomial
+from pipedreams.pipedream import grothendieck, max_cross_count, top_pd_set
 
 W165234 = Perm.from_one_line([1, 6, 5, 2, 3, 4])
 W2413 = Perm.from_one_line([2, 4, 1, 3])
@@ -64,17 +60,12 @@ class TestEnumeration:
 class TestWeightyCells:
     def test_2413_cells(self):
         (b,) = enumerate_bvpd(W2413)
-        assert weighty_cells_bvpd(b) == {(1, 1), (1, 3), (2, 1), (2, 2)}
+        assert weighty_cells(b) == {(1, 1), (1, 3), (2, 1), (2, 2)}
         assert east_exit_cells(b) == {(1, 2), (2, 1)}
 
     def test_blank_weight_is_one(self):
         (b,) = enumerate_bvpd(Perm.identity(3))
         assert weight(b).degree == 0
-
-    def test_kind_check(self):
-        m = Diagram(Kind.MVPD, 2, ((Tile.BLANK, Tile.BLANK),) * 2)
-        with pytest.raises(ValueError):
-            weighty_cells_bvpd(m)
 
     def test_elbow_balance_per_pipe(self):
         # Each pipe turns north once more than it turns east, so the
@@ -125,7 +116,7 @@ class TestColumnMaps:
                 assert image == sorted(bs, key=sort_key)
                 for m in tops:
                     b = mvpd_to_bvpd(m, w)
-                    assert weight_monomial(w.n, [i for i, _ in weighty_cells(m)]) == weight(b)
+                    assert weight(m) == weight(b)
                     assert bvpd_to_mvpd(b, w) == m
                 for b in bs:
                     assert mvpd_to_bvpd(bvpd_to_mvpd(b, w), w) == b
@@ -162,7 +153,7 @@ class TestCompositeMap:
         for n in (3, 4, 5):
             for w in inverse_fireworks(n):
                 for b in enumerate_bvpd(w):
-                    assert cross_cells(bvpd_to_pd(b, w)) == predicted_cross_cells(b)
+                    assert weighty_cells(bvpd_to_pd(b, w)) == predicted_cross_cells(b)
 
     def test_bijection_onto_top_pds(self):
         for n in (3, 4, 5):
@@ -176,6 +167,6 @@ class TestCompositeMap:
 
 class TestWeights:
     def test_weight_order_is_canonical(self):
-        ws = top_bvpd_weights(W165234)
+        ws = [weight(d) for d in enumerate_bvpd(W165234)]
         assert len(ws) == 6
         assert {m.text() for m in ws} == SIX_WEIGHTS

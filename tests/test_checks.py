@@ -1,6 +1,7 @@
 import pytest
 
 from pipedreams.checks import CHECKS, run_check
+from pipedreams.permutations import symmetric_group
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -15,6 +16,12 @@ def test_inverse_fireworks_restriction():
     restricted = run_check("lemma46", 4, inverse_fireworks_only=True)
     assert full.ok and restricted.ok
     assert restricted.checked < full.checked
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_inverse_fireworks_flag_narrows_every_check(name):
+    want = sum(1 for w in symmetric_group(4) if w.is_inverse_fireworks())
+    assert run_check(name, 4, inverse_fireworks_only=True).checked == want
 
 
 def test_report_lines_format():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from pipedreams import construct, pipedream
 from pipedreams.cli import main
+from pipedreams.diagrams import DiagramError
 
 
 def run(capsys, *argv):
@@ -146,6 +148,27 @@ class TestCheck:
         assert code == 2
         assert "--force" in err
 
+    def test_force_leaves_the_bound_alone(self, capsys, monkeypatch):
+        monkeypatch.setattr(pipedream, "DEFAULT_MAX_N", 3)
+        code, out, _ = run(capsys, "check", "--what", "prop25", "--n", "4", "--force")
+        assert code == 0
+        assert "PASS" in out
+        assert pipedream.DEFAULT_MAX_N == 3
+        code, _, err = run(capsys, "check", "--what", "prop25", "--n", "4")
+        assert code == 2
+        assert "--force" in err
+
+    def test_constructor_fault_is_a_failed_check(self, capsys, monkeypatch):
+        def broken(d, w):
+            raise DiagramError("planted constructor fault")
+
+        monkeypatch.setattr(construct, "construct_up", broken)
+        code, out, _ = run(capsys, "check", "--what", "conj13", "--n", "4")
+        assert code == 1
+        assert "FAIL" in out
+        assert "witness: w=" in out
+        assert "planted constructor fault" in out
+
     def test_usage_error_on_unknown_check(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "check", "--what", "nope", "--n", "3")
@@ -166,6 +189,27 @@ class TestRender:
         code, out, _ = run(capsys, "render", "--in", str(src))
         assert code == 0
         assert out.strip() == "bJ\nJ."
+
+    def test_bvpd_text(self, capsys, tmp_path):
+        src = tmp_path / "b.txt"
+        src.write_text("JrJ\n-J.\n...\n...")
+        code, out, _ = run(capsys, "render", "--in", str(src))
+        assert code == 0
+        assert out.strip() == "JrJ\n-J.\n...\n..."
+
+    def test_invalid_text_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "bad.txt"
+        src.write_text("++\n++")
+        code, _, err = run(capsys, "render", "--in", str(src))
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "render", "--in", str(tmp_path / "absent.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 def test_missing_subcommand_exits_2(capsys):

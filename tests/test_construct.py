@@ -10,17 +10,10 @@ from pipedreams.construct import (
     find_pattern,
     locate_droop_site,
 )
-from pipedreams.diagrams import Diagram, DiagramError, Kind, Tile, trace
-from pipedreams.mvpd import (
-    is_member,
-    is_saturated,
-    is_top,
-    mvpd_set,
-    weighty_cells,
-)
+from pipedreams.diagrams import Diagram, DiagramError, Kind, Tile, trace, weight, weighty_cells
+from pipedreams.mvpd import find_upgrade, is_member, is_top, mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import grothendieck
-from pipedreams.polynomials import weight_monomial
 
 W2413 = Perm.from_one_line([2, 4, 1, 3])
 
@@ -35,7 +28,7 @@ def mvpd(n, text):
 
 
 def row_weight(w, d):
-    return weight_monomial(w.n, [i for i, _ in weighty_cells(d)])
+    return weight(d)
 
 
 def droop_sites(d, w):
@@ -107,7 +100,7 @@ class TestFindPattern:
         saturated_non_top = [
             m
             for m in mvpd_set(W2413)
-            if not is_top(m, W2413) and is_saturated(m, W2413)
+            if not is_top(m, W2413) and find_upgrade(m, W2413) is None
         ]
         assert len(saturated_non_top) == 1
         assert find_pattern(saturated_non_top[0], W2413) == (1, 2)
@@ -137,7 +130,7 @@ class TestConstructUp:
         w = W14253_INV
         assert w.inverse.letters == (1, 4, 2, 5, 3)
         m = mvpd(5, EX59_TEXT)
-        assert is_member(m, w) and is_saturated(m, w) and not is_top(m, w)
+        assert is_member(m, w) and find_upgrade(m, w) is None and not is_top(m, w)
         cert = construct_up(m, w)
         assert [s.op for s in cert.steps] == ["droop_prime", "droop_prime"]
         assert [s.cell for s in cert.steps] == [(1, 1), (2, 2)]
@@ -146,7 +139,7 @@ class TestConstructUp:
         # The intermediate diagram keeps the weight and stays saturated.
         mid = droop_prime(m, 1, 1, w)
         assert row_weight(w, mid) == row_weight(w, m)
-        assert is_saturated(mid, w)
+        assert find_upgrade(mid, w) is None
 
     def test_rejects_top_input(self):
         for m in mvpd_set(W2413):

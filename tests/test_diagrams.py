@@ -6,9 +6,7 @@ from pipedreams.diagrams import (
     Kind,
     Tile,
     allowed_tiles,
-    column_to_row_code,
     enumerate_structures,
-    is_valid,
     trace,
     validate,
 )
@@ -86,7 +84,7 @@ class TestRenderParse:
 
 class TestValidate:
     def test_all_bump_pd_is_valid(self):
-        assert is_valid(pd_from_crosses(4, frozenset()))
+        assert not validate(pd_from_crosses(4, frozenset()))
 
     def test_bvpd_rejects_bump(self):
         d = Diagram(
@@ -100,7 +98,7 @@ class TestValidate:
         grid = [list(row) for row in pd_from_crosses(3, frozenset()).tiles]
         grid[2][2] = Tile.BUMP  # beyond the anti-diagonal
         d = Diagram(Kind.PD, 3, tuple(tuple(r) for r in grid))
-        assert not is_valid(d)
+        assert validate(d)
 
     def test_edge_mismatch_reported(self):
         # A lone horizontal feeding into a blank.
@@ -113,14 +111,14 @@ class TestValidate:
 
     def test_markable_elbow_accepts_a_mark(self):
         good = parse(Kind.MVPD, 4, "-JrJ\n--J.\n....\n....")
-        assert is_valid(good)
+        assert not validate(good)
         # Pipe 2 owns horizontals at (2,1) and (2,2), below row 1.
         assert validate(good.with_tiles({(1, 3): Tile.MARKED_SE})) == []
 
     def test_marked_without_lower_horizontal(self):
         # Pipe 2 turns at (2,1), climbs, and leaves; no horizontal anywhere.
         d = parse(Kind.MVPD, 3, "rJ.\nJ..\n...")
-        assert is_valid(d)
+        assert not validate(d)
         bad = d.with_tiles({(1, 1): Tile.MARKED_SE})
         assert any("no lower horizontal" in v for v in validate(bad))
 
@@ -148,9 +146,9 @@ class TestTrace:
 
     def test_code(self):
         d = parse(Kind.BVPD, 4, "JrJ\n-J.\n...\n...")
-        assert column_to_row_code(d).entries == (1, 0, 2)
+        assert trace(d, record_paths=False).code.entries == (1, 0, 2)
         empty = Diagram(Kind.MVPD, 3, ((Tile.BLANK,) * 3,) * 3)
-        assert column_to_row_code(empty).entries == (0, 0, 0)
+        assert trace(empty, record_paths=False).code.entries == (0, 0, 0)
 
     def test_real_crossing_pairs_unique(self):
         for w in symmetric_group(4):
@@ -225,7 +223,7 @@ class TestEnumerateStructures:
 
     def test_structures_are_valid(self):
         for d in enumerate_structures(Kind.MVPD, 4, frozenset({1, 2})):
-            assert is_valid(d)
+            assert not validate(d)
 
     def test_pd_not_supported(self):
         with pytest.raises(ValueError):

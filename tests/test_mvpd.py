@@ -2,25 +2,30 @@ from itertools import islice
 
 import pytest
 
-from pipedreams.diagrams import Diagram, Kind, Tile, enumerate_structures, trace
+from pipedreams.diagrams import (
+    Diagram,
+    Kind,
+    Tile,
+    enumerate_structures,
+    trace,
+    weight,
+    weighty_cells,
+)
 from pipedreams.mvpd import (
     enumerate_mvpd_direct,
     find_upgrade,
     grothendieck_via_mvpd,
     double_grothendieck_via_mvpd,
     is_member,
-    is_saturated,
     is_top,
     mvpd_set,
     mvpd_to_pd,
     pd_to_mvpd,
     tile_census_identity,
     top_mvpd_set,
-    weighty_cells,
 )
 from pipedreams.permutations import Perm, symmetric_group
-from pipedreams.pipedream import cross_cells, grothendieck, double_grothendieck, pd_set
-from pipedreams.polynomials import weight_monomial
+from pipedreams.pipedream import grothendieck, double_grothendieck, pd_set
 
 W2413 = Perm.from_one_line([2, 4, 1, 3])
 W21 = Perm.from_one_line([2, 1])
@@ -35,7 +40,7 @@ class TestRemovalMap:
         (p,) = pd_set(W21)
         m = pd_to_mvpd(p, W21)
         assert m.render_text() == "-J\n.."
-        assert weighty_cells(m) == {(1, 1)} == cross_cells(p)
+        assert weighty_cells(m) == {(1, 1)} == weighty_cells(p)
 
     def test_identity_goes_blank(self):
         w = Perm.identity(4)
@@ -63,7 +68,7 @@ class TestRemovalMap:
         assert len(ms) == 3
         assert ms == enumerate_mvpd_direct(W2413)
         weights = {
-            weight_monomial(4, [i for i, _ in weighty_cells(m)]).text() for m in ms
+            weight(m).text() for m in ms
         }
         assert weights == {"x1*x2^2", "x1^2*x2", "x1^2*x2^2"}
 
@@ -82,7 +87,7 @@ class TestRemovalMap:
             assert len(set(ms)) == len(pds)
             for p in pds:
                 m = pd_to_mvpd(p, w)
-                assert cross_cells(p) == weighty_cells(m)
+                assert weighty_cells(p) == weighty_cells(m)
                 assert mvpd_to_pd(m, w) == p
             assert ms == enumerate_mvpd_direct(w)
 
@@ -152,7 +157,7 @@ class TestTopSets:
     def test_2413(self):
         tops = top_mvpd_set(W2413)
         assert len(tops) == 1
-        assert weight_monomial(4, [i for i, _ in weighty_cells(tops[0])]).text() == "x1^2*x2^2"
+        assert weight(tops[0]).text() == "x1^2*x2^2"
 
     def test_identity(self):
         w = Perm.identity(3)
@@ -197,7 +202,7 @@ class TestTopSets:
 class TestSaturation:
     def test_tops_are_saturated(self):
         for m in top_mvpd_set(W2413):
-            assert is_saturated(m, W2413)
+            assert find_upgrade(m, W2413) is None
 
     def test_markable_elbow_upgrade(self):
         m = parse_mvpd(4, "-JrJ\n--J.\n....\n....")
@@ -231,7 +236,7 @@ class TestSaturation:
         for n in (3, 4):
             for w in symmetric_group(n):
                 for m in mvpd_set(w):
-                    if not is_saturated(m, w):
+                    if find_upgrade(m, w) is not None:
                         continue
                     tr = trace(m)
                     for i, j, t in m.cells():

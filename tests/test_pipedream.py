@@ -1,9 +1,8 @@
 import pytest
 
-from pipedreams.diagrams import Kind, Tile, trace
+from pipedreams.diagrams import Tile, trace, weighty_cells
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import (
-    cross_cells,
     double_grothendieck,
     enumerate_all,
     grothendieck,
@@ -40,7 +39,7 @@ class TestEnumeration:
     def test_2413_golden(self):
         ds = pd_set(W2413)
         assert len(ds) == 3
-        assert {cross_cells(d) for d in ds} == {frozenset(s) for s in CROSS_SETS_2413}
+        assert {weighty_cells(d) for d in ds} == {frozenset(s) for s in CROSS_SETS_2413}
 
     def test_singletons(self):
         assert len(pd_set(Perm.identity(4))) == 1
@@ -52,28 +51,19 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_all(8)
 
-    def test_cache_round_trip(self, tmp_path):
+    def test_built_index_is_served_above_the_bound(self, monkeypatch):
         import pipedreams.pipedream as pd_mod
 
-        path = tmp_path / "pd3.jsonl"
-        fresh = enumerate_all(3)
-        pd_mod._INDEX_CACHE.pop(3)
-        written = enumerate_all(3, cache_path=path)
-        assert path.exists()
-        pd_mod._INDEX_CACHE.pop(3)
-        loaded = enumerate_all(3, cache_path=path)
-        assert loaded.by_perm == written.by_perm == fresh.by_perm
+        built = enumerate_all(3, max_n=3)
+        monkeypatch.setattr(pd_mod, "_INDEX_CACHE", {3: built})
+        monkeypatch.setattr(pd_mod, "DEFAULT_MAX_N", 2)
+        assert enumerate_all(3) is built
+        with pytest.raises(ValueError):
+            enumerate_all(4)
 
     def test_membership_is_by_inverse_reading(self):
         for d in pd_set(W2413):
             assert Perm(trace(d).top_reading) == W2413.inverse
-
-    def test_cross_cells_kind_check(self):
-        from pipedreams.diagrams import Diagram
-
-        m = Diagram(Kind.MVPD, 2, ((Tile.BLANK, Tile.BLANK),) * 2)
-        with pytest.raises(ValueError):
-            cross_cells(m)
 
 
 class TestPolynomials:
@@ -109,7 +99,7 @@ class TestPolynomials:
         for w in symmetric_group(4):
             weights = {
                 tuple(
-                    sum(1 for i, _ in cross_cells(d) if i == r) for r in range(1, 5)
+                    sum(1 for i, _ in weighty_cells(d) if i == r) for r in range(1, 5)
                 )
                 for d in pd_set(w)
             }

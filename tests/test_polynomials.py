@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pipedreams.polynomials import (
-    Monomial,
-    Poly,
-    signed_sum,
-    weight_factor,
-    weight_factor_product,
-    weight_monomial,
-)
+from pipedreams.polynomials import Monomial, Poly, weight_factor, weight_factor_product
 
 
 def mono(n, **exps) -> Monomial:
@@ -36,13 +29,13 @@ def polys(n=2, max_terms=4):
 
 class TestMonomial:
     def test_weight_monomial(self):
-        assert weight_monomial(2, [1, 2, 2]) == mono(2, x1=1, x2=2)
-        assert weight_monomial(2, []) == Monomial.one(2)
-        assert weight_monomial(2, [1, 1, 2, 2]) == mono(2, x1=2, x2=2)
+        assert Monomial.from_rows(2, [1, 2, 2]) == mono(2, x1=1, x2=2)
+        assert Monomial.from_rows(2, []) == Monomial.one(2)
+        assert Monomial.from_rows(2, [1, 1, 2, 2]) == mono(2, x1=2, x2=2)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            weight_monomial(2, [3])
+            Monomial.from_rows(2, [3])
 
     def test_divides_and_times(self):
         a = mono(2, x1=1, x2=2)
@@ -76,11 +69,6 @@ class TestArithmetic:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-    def test_signed_sum(self):
-        p = Poly.from_monomial(mono(2, x1=1))
-        q = Poly.from_monomial(mono(2, x2=1))
-        assert signed_sum(2, [(1, p), (-1, q)]) == p - q
 
 
 class TestFactors:
