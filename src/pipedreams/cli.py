@@ -41,23 +41,14 @@ def _parse_w(text: str) -> Perm:
         raise UsageError(f"bad permutation {text!r}: {exc}") from None
 
 
-# The expected input species of each map, for bare-text files.
-_MAP_INPUT_KIND = {
-    "phi": Kind.PD,
-    "phi-inv": Kind.MVPD,
-    "mb": Kind.MVPD,
-    "bm": Kind.BVPD,
-    "psi": Kind.BVPD,
-    "psi-inv": Kind.PD,
-}
-
+# Each map and the species it reads (bare-text files are parsed as that one).
 _MAPS = {
-    "phi": pd_to_mvpd,
-    "phi-inv": mvpd_to_pd,
-    "mb": mvpd_to_bvpd,
-    "bm": bvpd_to_mvpd,
-    "psi": bvpd_to_pd,
-    "psi-inv": pd_to_bvpd,
+    "phi": (pd_to_mvpd, Kind.PD),
+    "phi-inv": (mvpd_to_pd, Kind.MVPD),
+    "mb": (mvpd_to_bvpd, Kind.MVPD),
+    "bm": (bvpd_to_mvpd, Kind.BVPD),
+    "psi": (bvpd_to_pd, Kind.BVPD),
+    "psi-inv": (pd_to_bvpd, Kind.PD),
 }
 
 
@@ -126,9 +117,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_map(args) -> int:
     w = _parse_w(args.w)
-    d = _read_diagram(args.infile, (_MAP_INPUT_KIND[args.which],))
+    fn, kind = _MAPS[args.which]
+    d = _read_diagram(args.infile, (kind,))
     try:
-        out = _MAPS[args.which](d, w)
+        out = fn(d, w)
     except (ValueError, DiagramError) as exc:
         raise UsageError(str(exc)) from None
     print(out.render_text())
@@ -155,6 +147,9 @@ def _cmd_construct_up(args) -> int:
                 replay = droop_prime(replay, step.cell[0], step.cell[1], w)
             print(f"after {step.op} at {step.cell}:")
             print(replay.render_text())
+        if replay != cert.output:
+            print("error: the replayed steps do not reach the certificate's output", file=sys.stderr)
+            return 1
     print(json.dumps(cert.to_json()))
     return 0
 

@@ -36,8 +36,8 @@ def locate_droop_site(d: Diagram, i: int, j: int) -> DroopSite:
     if t in (Tile.ELBOW_SE, Tile.MARKED_SE, Tile.BUMP):
         pass
     elif t is Tile.CROSS:
-        crossing = trace(d).crossings[(i, j)]
-        if crossing.real:
+        w_in, _, n_out, _ = trace(d).cells[(i, j)]
+        if n_out != w_in:
             raise DiagramError(f"({i},{j}): real crossing has no south-east strand")
     else:
         raise DiagramError(f"({i},{j}): {t.value!r} has no south-east strand")

@@ -4,6 +4,12 @@ signed weight sum that all three species compute.
 Coordinates are one-based ``(row, column)`` with row 1 at the top, so a
 "lower" tile has a larger row index.  Pipes enter from the left edge, move
 only north and east, and exit from the top edge.
+
+``trace`` sweeps a diagram once and returns a ``TraceResult``: the code read
+off the top edge, the pairs of pipes that really cross, and, when asked to
+record, the labels of every cell (west in, south in, north out, east out)
+and the lowest horizontal of every pipe.  Cell questions (``pipe_at``, and
+``markable``, the one rule for where a mark may sit) are lookups in those.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 from .permutations import Code, Perm
 from .polynomials import Monomial, Poly, weight_factor_product
@@ -179,51 +185,49 @@ class Diagram:
         return cls.parse_text(kind, int(data["n"]), "\n".join(data["rows"]))
 
 
-class PipeStep(NamedTuple):
-    row: int
-    col: int
-    enters: str  # "W" or "S"
-    leaves: str  # "E" or "N"
-
-
-class Crossing(NamedTuple):
-    west: int
-    south: int
-    real: bool
+# The labels of one traced cell: (west in, south in, north out, east out),
+# 0 where no pipe runs.
+CellLabels = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class TraceResult:
-    """Everything the tracer learns about a diagram in one pass."""
+    """Everything the tracer learns about a diagram in one pass.
 
-    top_reading: tuple[int, ...]
+    ``cells`` and ``lowest_horizontal`` are filled only by
+    ``trace(d, record_paths=True)``; the cell queries read them.
+    """
+
     code: Code
-    paths: Mapping[int, tuple[PipeStep, ...]]
-    crossings: Mapping[tuple[int, int], Crossing]
     crossed_pairs: frozenset[frozenset[int]]
+    cells: Mapping[tuple[int, int], CellLabels]
+    lowest_horizontal: Mapping[int, int]  # label -> largest row of a horizontal on its pipe
 
-    def pipe_at(self, i: int, j: int) -> list[tuple[int, PipeStep]]:
-        """Labels (with their steps) passing through cell (i, j)."""
-        return [
-            (label, step)
-            for label, steps in self.paths.items()
-            for step in steps
-            if step.row == i and step.col == j
-        ]
+    def pipe_at(self, i: int, j: int) -> frozenset[int]:
+        """Labels of the pipes passing through cell (i, j)."""
+        w_in, s_in, _, _ = self.cells[(i, j)]
+        return frozenset(label for label in (w_in, s_in) if label)
+
+    def markable(self, i: int, j: int) -> bool:
+        """True iff (i, j) holds a south-east elbow whose pipe owns a
+        horizontal tile in a lower row: the only place a mark may sit."""
+        w_in, s_in, _, _ = self.cells[(i, j)]
+        return not w_in and s_in != 0 and self.lowest_horizontal.get(s_in, 0) > i
 
 
 def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
     """Propagate pipe labels cell by cell, bottom-to-top, left-to-right.
 
     At a cross, the first meeting of two labels is a real crossing (both
-    strands pass straight through); a pair that has already crossed bounces
-    instead, with the west label leaving north.
+    strands pass straight through, so the south label leaves north); a pair
+    that has already crossed bounces instead, with the west label leaving
+    north.
     """
     rows, cols = d.rows, d.cols
     entering = d.entering_rows
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
-    paths: dict[int, list[PipeStep]] = {r: [] for r in entering}
-    crossings: dict[tuple[int, int], Crossing] = {}
+    cells: dict[tuple[int, int], CellLabels] = {}
+    lowest: dict[int, int] = {}
     crossed: set[frozenset[int]] = set()
     for i in range(rows, 0, -1):
         west = i if i in entering else 0
@@ -245,27 +249,23 @@ def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
                 pair = frozenset((w_in, s_in))
                 if pair not in crossed:
                     crossed.add(pair)
-                    crossings[(i, j)] = Crossing(w_in, s_in, True)
                     n_out, e_out = s_in, w_in
                 else:
-                    crossings[(i, j)] = Crossing(w_in, s_in, False)
                     n_out, e_out = w_in, s_in
             if record_paths:
-                if w_in:
-                    paths[w_in].append(PipeStep(i, j, "W", "N" if n_out == w_in else "E"))
-                if s_in:
-                    paths[s_in].append(PipeStep(i, j, "S", "N" if n_out == s_in else "E"))
+                cells[(i, j)] = (w_in, s_in, n_out, e_out)
+                if t is Tile.HORIZONTAL:
+                    # The sweep runs bottom-up, so the first horizontal met is the lowest.
+                    lowest.setdefault(w_in, i)
             south[j] = n_out
             west = e_out
         if west:
             raise DiagramError(f"pipe {west} exits the right edge in row {i}")
-    top = tuple(south[1 : cols + 1])
     return TraceResult(
-        top_reading=top,
-        code=Code(top, d.n),
-        paths={r: tuple(steps) for r, steps in paths.items()},
-        crossings=crossings,
+        code=Code(tuple(south[1 : cols + 1]), d.n),
         crossed_pairs=frozenset(crossed),
+        cells=cells,
+        lowest_horizontal=lowest,
     )
 
 
@@ -296,25 +296,11 @@ def validate(d: Diagram) -> list[str]:
 
 def mark_violations(d: Diagram, tr: TraceResult) -> list[str]:
     """Marked elbows whose pipe has no horizontal tile in any lower row."""
-    out = []
-    for i, j, t in d.cells():
-        if t is not Tile.MARKED_SE:
-            continue
-        hits = tr.pipe_at(i, j)
-        if len(hits) != 1:
-            out.append(f"({i},{j}): marked elbow without a unique pipe")
-            continue
-        label, _ = hits[0]
-        if not pipe_has_lower_horizontal(d, tr, label, i):
-            out.append(f"({i},{j}): mark on pipe {label} with no lower horizontal")
-    return out
-
-
-def pipe_has_lower_horizontal(d: Diagram, tr: TraceResult, label: int, row: int) -> bool:
-    return any(
-        d.tile(step.row, step.col) is Tile.HORIZONTAL and step.row > row
-        for step in tr.paths[label]
-    )
+    return [
+        f"({i},{j}): mark on pipe {tr.cells[(i, j)][1]} with no lower horizontal"
+        for i, j, t in d.cells()
+        if t is Tile.MARKED_SE and not tr.markable(i, j)
+    ]
 
 
 def enumerate_structures(kind: Kind, n: int, entering: Iterable[int]) -> Iterator[Diagram]:

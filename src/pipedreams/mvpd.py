@@ -17,9 +17,7 @@ from .diagrams import (
     DiagramError,
     Kind,
     Tile,
-    TraceResult,
     enumerate_structures,
-    pipe_has_lower_horizontal,
     signed_weight_sum,
     sort_key,
     trace,
@@ -27,7 +25,7 @@ from .diagrams import (
     weighty_cells,
 )
 from .permutations import Perm
-from .pipedream import max_cross_count, pd_set
+from .pipedream import max_cross_count, pd_from_crosses, pd_set
 from .polynomials import Poly
 
 
@@ -38,16 +36,6 @@ def is_member(d: Diagram, w: Perm) -> bool:
     return trace(d, record_paths=False).code == w.column_code()
 
 
-def _arcs_by_cell(tr: TraceResult, keep: frozenset[int]) -> dict[tuple[int, int], list]:
-    arcs: dict[tuple[int, int], list] = {}
-    for label, steps in tr.paths.items():
-        if label not in keep:
-            continue
-        for s in steps:
-            arcs.setdefault((s.row, s.col), []).append((s.enters, s.leaves))
-    return arcs
-
-
 def pd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
     """Delete the left-to-right-maxima pipes of w's inverse from a pipe dream.
 
@@ -56,71 +44,46 @@ def pd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
     kept).  A cross can never be reduced to a lone north-bound strand.
     """
     tr = trace(d)
-    if Perm(tr.top_reading).inverse != w:
+    if Perm(tr.code.entries).inverse != w:
         raise ValueError(f"diagram does not belong to {w.letters}")
     kept = frozenset(range(1, w.n + 1)) - w.inverse.lr_maxima()
-    arcs = _arcs_by_cell(tr, kept)
     grid = []
     for i in range(1, d.rows + 1):
         row = []
         for j in range(1, d.cols + 1):
             old = d.tile(i, j)
-            cell = arcs.get((i, j), [])
-            if not cell:
-                row.append(Tile.BLANK)
-            elif len(cell) == 2:
+            w_in, s_in, _, e_out = tr.cells[(i, j)]
+            if w_in in kept and s_in in kept:
                 # Both strands kept: the tile is unchanged.  (A fake crossing
                 # routes its labels like a bump but is still a cross tile.)
                 row.append(old)
-            else:
-                arc = cell[0]
-                if arc == ("W", "E"):
+            elif w_in in kept:
+                if e_out == w_in:
                     row.append(Tile.HORIZONTAL)
-                elif arc == ("W", "N"):
-                    if old is Tile.CROSS:
-                        raise DiagramError(f"cross at ({i},{j}) reduced to a west-north arc")
-                    row.append(Tile.ELBOW_WN)
-                elif arc == ("S", "E"):
-                    row.append(Tile.MARKED_SE if old is Tile.CROSS else Tile.ELBOW_SE)
+                elif old is Tile.CROSS:
+                    raise DiagramError(f"cross at ({i},{j}) reduced to a west-north arc")
                 else:
+                    row.append(Tile.ELBOW_WN)
+            elif s_in in kept:
+                if e_out != s_in:
                     raise DiagramError(f"cross at ({i},{j}) reduced to a vertical strand")
+                row.append(Tile.MARKED_SE if old is Tile.CROSS else Tile.ELBOW_SE)
+            else:
+                row.append(Tile.BLANK)
         grid.append(tuple(row))
     return Diagram(Kind.MVPD, w.n, tuple(grid))
 
 
-_FROM_MVPD = {
-    Tile.CROSS: Tile.CROSS,
-    Tile.MARKED_SE: Tile.CROSS,
-    Tile.HORIZONTAL: Tile.CROSS,
-    Tile.BUMP: Tile.BUMP,
-    Tile.ELBOW_SE: Tile.BUMP,
-}
-
-
 def mvpd_to_pd(d: Diagram, w: Perm) -> Diagram:
-    """Reinstate the removed pipes by the cell-local rewrite."""
+    """Reinstate the removed pipes: every weighty tile becomes a cross, and
+    the rest of the staircase bumps."""
     if d.kind is not Kind.MVPD:
         raise ValueError(f"expected an MVPD, got {d.kind.value}")
-    n = d.n
-    grid = []
-    for i in range(1, d.rows + 1):
-        row = []
-        for j in range(1, d.cols + 1):
-            t = d.tile(i, j)
-            if t in _FROM_MVPD:
-                row.append(_FROM_MVPD[t])
-            elif i + j <= n:
-                row.append(Tile.BUMP)
-            elif i + j == n + 1:
-                row.append(Tile.ELBOW_WN)
-            else:
-                row.append(Tile.BLANK)
-        grid.append(tuple(row))
-    out = Diagram(Kind.PD, n, tuple(grid))
-    problems = validate(out)
-    if problems:
-        raise DiagramError("rewrite left the pipe-dream region: " + "; ".join(problems))
-    return out
+    crosses = weighty_cells(d)
+    outside = sorted((i, j) for i, j in crosses if i + j > d.n)
+    if outside:
+        raise DiagramError(f"rewrite left the pipe-dream region: weighty tiles at {outside}")
+    return pd_from_crosses(d.n, crosses)
 
 
 @lru_cache(maxsize=None)
@@ -139,20 +102,11 @@ def enumerate_mvpd_direct(w: Perm) -> tuple[Diagram, ...]:
         tr = trace(d)
         if tr.code != code:
             continue
-        markable = [
-            (i, j)
-            for i, j, t in d.cells()
-            if t is Tile.ELBOW_SE and _markable(d, tr, i, j)
-        ]
+        markable = [(i, j) for i, j, t in d.cells() if t is Tile.ELBOW_SE and tr.markable(i, j)]
         for k in range(len(markable) + 1):
             for subset in combinations(markable, k):
                 out.append(d.with_tiles({c: Tile.MARKED_SE for c in subset}))
     return tuple(sorted(out, key=sort_key))
-
-
-def _markable(d: Diagram, tr: TraceResult, i: int, j: int) -> bool:
-    (label, _), = tr.pipe_at(i, j)
-    return pipe_has_lower_horizontal(d, tr, label, i)
 
 
 def grothendieck_via_mvpd(w: Perm) -> Poly:
@@ -192,13 +146,11 @@ def find_upgrade(d: Diagram, w: Perm) -> tuple[tuple[int, int], Tile] | None:
     tr = trace(d)
     for i, j, t in d.cells():
         if t is Tile.ELBOW_SE:
-            (label, _), = tr.pipe_at(i, j)
-            if not pipe_has_lower_horizontal(d, tr, label, i):
+            if not tr.markable(i, j):
                 continue
             candidate = Tile.MARKED_SE
         elif t is Tile.BUMP:
-            labels = frozenset(label for label, _ in tr.pipe_at(i, j))
-            if labels not in tr.crossed_pairs:
+            if tr.pipe_at(i, j) not in tr.crossed_pairs:
                 continue
             candidate = Tile.CROSS
         else:

@@ -16,8 +16,8 @@ from .permutations import Perm
 from .polynomials import Poly
 
 # Size guard for the 2^(n(n-1)/2) sweep; pass max_n to enumerate_all to go
-# beyond desk scale.
-DEFAULT_MAX_N = 7
+# beyond desk scale.  n = 7 (2^21 fillings) would take minutes and gigabytes.
+DEFAULT_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def enumerate_all(n: int, *, max_n: int | None = None) -> PipeDreamIndex:
     for bits in range(1 << len(cells)):
         crosses = frozenset(c for k, c in enumerate(cells) if bits >> k & 1)
         d = pd_from_crosses(n, crosses)
-        reading = trace(d, record_paths=False).top_reading
+        reading = trace(d, record_paths=False).code.entries
         groups.setdefault(Perm(reading).inverse, []).append(d)
     index = PipeDreamIndex(
         n, {w: tuple(sorted(ds, key=sort_key)) for w, ds in groups.items()}

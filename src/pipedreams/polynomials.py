@@ -95,9 +95,6 @@ class Poly:
     def sorted_items(self) -> list[tuple[Monomial, int]]:
         return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
 
-    def coefficient(self, m: Monomial) -> int:
-        return self._terms.get(m, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
-from pipedreams import construct, pipedream
+from pipedreams import cli, construct, pipedream
 from pipedreams.cli import main
 from pipedreams.diagrams import DiagramError
+from pipedreams.mvpd import enumerate_mvpd_direct
+from pipedreams.permutations import Perm
 
 
 def run(capsys, *argv):
@@ -30,6 +33,11 @@ class TestPoly:
         assert code == 0
         assert out.strip() == "x1 + y1 - x1*y1"
 
+    def test_above_the_bound(self, capsys):
+        code, _, err = run(capsys, "poly", "--w", "1,2,3,4,5,7,6")
+        assert code == 2
+        assert "outside the configured bound" in err
+
     def test_bad_w(self, capsys):
         code, _, err = run(capsys, "poly", "--w", "2,2")
         assert code == 2
@@ -54,6 +62,12 @@ class TestTop:
 
 
 class TestEnumerate:
+    def test_mvpd_above_the_bound_uses_the_direct_oracle(self, capsys):
+        w = Perm.from_one_line([1, 2, 3, 4, 5, 7, 6])
+        code, out, _ = run(capsys, "enumerate", "--kind", "mvpd", "--w", "1,2,3,4,5,7,6")
+        assert code == 0
+        assert out.strip() == "\n\n".join(d.render_text() for d in enumerate_mvpd_direct(w))
+
     def test_bvpd_text(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "bvpd", "--w", "2,4,1,3")
         assert code == 0
@@ -122,6 +136,21 @@ class TestConstructUp:
         )
         assert code == 0
         assert "after droop_prime" in out
+
+    def test_trace_checks_the_certificate_output(self, capsys, tmp_path, monkeypatch):
+        real = cli.construct_up
+
+        def wrong_output(d, w):
+            return dataclasses.replace(real(d, w), output=d)
+
+        monkeypatch.setattr(cli, "construct_up", wrong_output)
+        src = tmp_path / "m.txt"
+        src.write_text("-b-J\n-J..\n....\n....")
+        code, _, err = run(
+            capsys, "construct-up", "--w", "2,4,1,3", "--in", str(src), "--trace"
+        )
+        assert code == 1
+        assert err.startswith("error: ")
 
     def test_top_input_rejected(self, capsys, tmp_path):
         src = tmp_path / "m.txt"

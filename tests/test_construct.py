@@ -36,8 +36,9 @@ def droop_sites(d, w):
     for i in range(1, d.rows + 1):
         for j in range(1, d.cols):
             t = d.tile(i, j)
+            # A fake crossing routes its west label north, like a bump.
             strand = t in (Tile.ELBOW_SE, Tile.MARKED_SE, Tile.BUMP) or (
-                t is Tile.CROSS and not tr.crossings[(i, j)].real
+                t is Tile.CROSS and tr.cells[(i, j)][2] == tr.cells[(i, j)][0]
             )
             if not strand:
                 continue

@@ -123,26 +123,42 @@ class TestValidate:
         assert any("no lower horizontal" in v for v in validate(bad))
 
 
+def crossings(d, tr):
+    """{cross cell: (west in, south in, real)}; a crossing is real iff its
+    south label leaves north."""
+    out = {}
+    for i, j, t in d.cells():
+        if t is Tile.CROSS:
+            w_in, s_in, n_out, _ = tr.cells[(i, j)]
+            out[(i, j)] = (w_in, s_in, n_out == s_in)
+    return out
+
+
 class TestTrace:
     def test_worked_example(self):
         d = parse(Kind.PD, 5, EX_24513)
         tr = trace(d)
-        assert tr.top_reading == (4, 1, 5, 2, 3)
-        assert Perm(tr.top_reading).inverse == Perm.from_one_line([2, 4, 5, 1, 3])
-        c_real = tr.crossings[(3, 2)]
-        c_fake = tr.crossings[(2, 3)]
-        assert {c_real.west, c_real.south} == {3, 5} and c_real.real
-        assert {c_fake.west, c_fake.south} == {3, 5} and not c_fake.real
+        assert tr.code.entries == (4, 1, 5, 2, 3)
+        assert Perm(tr.code.entries).inverse == Perm.from_one_line([2, 4, 5, 1, 3])
+        cs = crossings(d, tr)
+        w_real, s_real, real = cs[(3, 2)]
+        w_fake, s_fake, fake_is_real = cs[(2, 3)]
+        assert {w_real, s_real} == {3, 5} and real
+        assert {w_fake, s_fake} == {3, 5} and not fake_is_real
+        assert tr.pipe_at(3, 2) == tr.pipe_at(2, 3) == {3, 5}
 
     def test_all_bump(self):
-        tr = trace(pd_from_crosses(3, frozenset()))
-        assert tr.top_reading == (1, 2, 3)
-        assert not tr.crossings
+        d = pd_from_crosses(3, frozenset())
+        tr = trace(d)
+        assert tr.code.entries == (1, 2, 3)
+        assert not crossings(d, tr) and not tr.crossed_pairs
 
     def test_two_by_two_cross(self):
-        tr = trace(pd_from_crosses(2, frozenset({(1, 1)})))
-        assert tr.top_reading == (2, 1)
-        assert tr.crossings[(1, 1)].real
+        d = pd_from_crosses(2, frozenset({(1, 1)}))
+        tr = trace(d)
+        assert tr.code.entries == (2, 1)
+        assert crossings(d, tr)[(1, 1)][2]
+        assert tr.crossed_pairs == {frozenset({1, 2})}
 
     def test_code(self):
         d = parse(Kind.BVPD, 4, "JrJ\n-J.\n...\n...")
@@ -150,33 +166,50 @@ class TestTrace:
         empty = Diagram(Kind.MVPD, 3, ((Tile.BLANK,) * 3,) * 3)
         assert trace(empty, record_paths=False).code.entries == (0, 0, 0)
 
+    def test_label_only_trace_records_no_cells(self):
+        tr = trace(parse(Kind.PD, 5, EX_24513), record_paths=False)
+        assert not tr.cells and not tr.lowest_horizontal
+        assert tr.crossed_pairs == trace(parse(Kind.PD, 5, EX_24513)).crossed_pairs
+
     def test_real_crossing_pairs_unique(self):
         for w in symmetric_group(4):
             for d in pd_set(w):
-                tr = trace(d)
-                real = [c for c in tr.crossings.values() if c.real]
-                pairs = [frozenset((c.west, c.south)) for c in real]
+                real = [c for c in crossings(d, trace(d)).values() if c[2]]
+                pairs = [frozenset((west, south)) for west, south, _ in real]
                 assert len(pairs) == len(set(pairs))
 
     def test_max_rule_consistency(self):
         # At every real crossing the south label beats the west label.
         for w in symmetric_group(4):
             for d in pd_set(w):
-                for c in trace(d).crossings.values():
-                    assert (c.south > c.west) == c.real
+                for west, south, real in crossings(d, trace(d)).values():
+                    assert (south > west) == real
 
     def test_paths_monotone_and_exit_top(self):
+        # Each label's cells form a chain of north and east steps from its
+        # entering row in column 1 to a north exit from the top row.
         for w in symmetric_group(4):
             for d in pd_set(w):
                 tr = trace(d)
-                assert set(tr.paths) == {1, 2, 3, 4}
-                for label, steps in tr.paths.items():
-                    rows = [s.row for s in steps]
-                    cols = [s.col for s in steps]
-                    assert all(a >= b for a, b in zip(rows, rows[1:]))
-                    assert all(a <= b for a, b in zip(cols, cols[1:]))
-                    assert steps[-1].leaves == "N" and steps[-1].row == 1
-                assert sorted(tr.top_reading) == [1, 2, 3, 4]
+                on: dict[int, set] = {}
+                for cell, (w_in, s_in, _, _) in tr.cells.items():
+                    for label in (w_in, s_in):
+                        if label:
+                            on.setdefault(label, set()).add(cell)
+                assert set(on) == {1, 2, 3, 4}
+                for label, cells in on.items():
+                    assert tr.cells[(label, 1)][0] == label
+                    i, j, walked = label, 1, []
+                    while i >= 1:
+                        walked.append((i, j))
+                        _, _, n_out, e_out = tr.cells[(i, j)]
+                        if n_out == label:
+                            i -= 1
+                        else:
+                            assert e_out == label
+                            j += 1
+                    assert len(walked) == len(cells) and set(walked) == cells
+                assert sorted(tr.code.entries) == [1, 2, 3, 4]
 
     def test_crossed_before_entering_a_row(self):
         # Pipes a, b, c entering a row left to right: if {a,b} have not
@@ -185,9 +218,9 @@ class TestTrace:
             for d in pd_set(w):
                 tr = trace(d)
                 real_cells = {
-                    frozenset((c.west, c.south)): cell
-                    for cell, c in tr.crossings.items()
-                    if c.real
+                    frozenset((west, south)): cell
+                    for cell, (west, south, real) in crossings(d, tr).items()
+                    if real
                 }
 
                 def crossed_below(p, q, row):
@@ -196,10 +229,9 @@ class TestTrace:
 
                 for row in range(1, 5):
                     entering = sorted(
-                        (s.col, label)
-                        for label, steps in tr.paths.items()
-                        for s in steps
-                        if s.row == row and s.enters == "S"
+                        (j, s_in)
+                        for (i, j), (_, s_in, _, _) in tr.cells.items()
+                        if i == row and s_in
                     )
                     labels = [label for _, label in entering]
                     for ia in range(len(labels)):

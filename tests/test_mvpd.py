@@ -4,6 +4,7 @@ import pytest
 
 from pipedreams.diagrams import (
     Diagram,
+    DiagramError,
     Kind,
     Tile,
     enumerate_structures,
@@ -96,6 +97,12 @@ class TestRemovalMap:
         blank = Diagram(Kind.MVPD, 3, ((Tile.BLANK,) * 3,) * 3)
         p = mvpd_to_pd(blank, w)
         assert all(t is not Tile.CROSS for _, _, t in p.cells())
+
+    def test_weighty_tile_outside_the_staircase_rejected(self):
+        # Diagram() does not validate, so a horizontal can sit at i + j > n.
+        stray = Diagram(Kind.MVPD, 2, ((Tile.BLANK, Tile.BLANK), (Tile.BLANK, Tile.HORIZONTAL)))
+        with pytest.raises(DiagramError, match="pipe-dream region"):
+            mvpd_to_pd(stray, Perm.identity(2))
 
 
 class TestPolynomialRoutes:
@@ -221,14 +228,33 @@ class TestSaturation:
                 assert is_member(m2, w)
                 assert weighty_cells(m2) == weighty_cells(m) | {(i, j)}
 
+    def test_markable_matches_a_scan_of_the_pipe(self):
+        # An elbow is markable iff its pipe passes a horizontal in a lower row.
+        for w in symmetric_group(4):
+            for m in mvpd_set(w):
+                tr = trace(m)
+                for i, j, t in m.cells():
+                    if t not in (Tile.ELBOW_SE, Tile.MARKED_SE):
+                        assert not tr.markable(i, j)
+                        continue
+                    (label,) = tr.pipe_at(i, j)
+                    lower = any(
+                        r > i and m.tile(r, c) is Tile.HORIZONTAL
+                        for (r, c), (w_in, s_in, _, _) in tr.cells.items()
+                        if label in (w_in, s_in)
+                    )
+                    assert tr.markable(i, j) == lower
+
     def test_every_pipe_owns_a_horizontal(self):
         for n in (3, 4):
             for w in symmetric_group(n):
                 for m in mvpd_set(w):
                     tr = trace(m)
-                    for label, steps in tr.paths.items():
+                    for label in m.entering_rows:
                         assert any(
-                            m.tile(s.row, s.col) is Tile.HORIZONTAL for s in steps
+                            m.tile(*cell) is Tile.HORIZONTAL
+                            for cell, (w_in, _, _, _) in tr.cells.items()
+                            if w_in == label
                         ), f"pipe {label} with no horizontal in\n{m.render_text()}"
 
     def test_saturated_has_no_strand_before_real_crossing(self):
@@ -239,11 +265,15 @@ class TestSaturation:
                     if find_upgrade(m, w) is not None:
                         continue
                     tr = trace(m)
+
+                    def real_crossing(i, j):
+                        _, s_in, n_out, _ = tr.cells[(i, j)]
+                        return m.tile(i, j) is Tile.CROSS and n_out == s_in
+
                     for i, j, t in m.cells():
                         se_strand = t in (Tile.ELBOW_SE, Tile.MARKED_SE, Tile.BUMP) or (
-                            t is Tile.CROSS and not tr.crossings[(i, j)].real
+                            t is Tile.CROSS and not real_crossing(i, j)
                         )
                         if not se_strand or j == m.cols:
                             continue
-                        right = tr.crossings.get((i, j + 1))
-                        assert right is None or not right.real
+                        assert not real_crossing(i, j + 1)

@@ -51,6 +51,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_all(8)
 
+    def test_seven_is_refused_before_any_work(self, monkeypatch):
+        # 2^21 fillings would take minutes and gigabytes: the guard refuses
+        # n = 7 without tracing a single one.
+        import pipedreams.pipedream as pd_mod
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("enumerate_all(7) started building")
+
+        monkeypatch.setattr(pd_mod, "_INDEX_CACHE", {})
+        monkeypatch.setattr(pd_mod, "trace", no_trace)
+        with pytest.raises(ValueError, match="outside the configured bound"):
+            enumerate_all(7)
+        assert pd_mod._INDEX_CACHE == {}
+
     def test_built_index_is_served_above_the_bound(self, monkeypatch):
         import pipedreams.pipedream as pd_mod
 
@@ -63,7 +77,7 @@ class TestEnumeration:
 
     def test_membership_is_by_inverse_reading(self):
         for d in pd_set(W2413):
-            assert Perm(trace(d).top_reading) == W2413.inverse
+            assert Perm(trace(d).code.entries) == W2413.inverse
 
 
 class TestPolynomials:
