@@ -22,9 +22,9 @@ from .bvpd import (
     top_grothendieck_via_bvpd,
 )
 from .checks import CHECKS, run_check
-from .construct import construct_up, droop_prime
-from .diagrams import Diagram, DiagramError, Kind, Tile
-from .mvpd import enumerate_mvpd_direct, mvpd_set, mvpd_to_pd, pd_to_mvpd
+from .construct import construct_up
+from .diagrams import Diagram, DiagramError, Kind
+from .mvpd import enumerate_mvpd_direct, mvpd_to_pd, pd_to_mvpd
 from .permutations import Perm
 from .pipedream import double_grothendieck, enumerate_all, grothendieck, pd_set, top_grothendieck
 from .polynomials import Poly
@@ -99,15 +99,13 @@ def _cmd_top(args) -> int:
     return 0
 
 
+# Each species' diagrams of w.  The MVPDs are backtracked directly, so they
+# need no pipe-dream index at any n (prop36 checks them against the index).
+_DIAGRAM_SETS = {"pd": pd_set, "mvpd": enumerate_mvpd_direct, "bvpd": enumerate_bvpd}
+
+
 def _cmd_enumerate(args) -> int:
-    w = _parse_w(args.w)
-    if args.kind == "pd":
-        ds = pd_set(w)
-    elif args.kind == "mvpd":
-        # Beyond the exhaustive-sweep bound, the backtracking oracle still works.
-        ds = mvpd_set(w) if w.n <= pipedream.DEFAULT_MAX_N else enumerate_mvpd_direct(w)
-    else:
-        ds = enumerate_bvpd(w)
+    ds = _DIAGRAM_SETS[args.kind](_parse_w(args.w))
     if args.json:
         print(json.dumps([d.to_json() for d in ds]))
     else:
@@ -139,12 +137,7 @@ def _cmd_construct_up(args) -> int:
         print(d.render_text())
         replay = d
         for step in cert.steps:
-            if step.op == "mark":
-                replay = replay.with_tiles({step.cell: Tile.MARKED_SE})
-            elif step.op == "bump_to_cross":
-                replay = replay.with_tiles({step.cell: Tile.CROSS})
-            else:
-                replay = droop_prime(replay, step.cell[0], step.cell[1], w)
+            replay = step.apply(replay, w)
             print(f"after {step.op} at {step.cell}:")
             print(replay.render_text())
         if replay != cert.output:
@@ -190,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_top)
 
     p = sub.add_parser("enumerate", help="list the diagrams of a permutation")
-    p.add_argument("--kind", required=True, choices=["pd", "mvpd", "bvpd"])
+    p.add_argument("--kind", required=True, choices=list(_DIAGRAM_SETS))
     p.add_argument("--w", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_enumerate)

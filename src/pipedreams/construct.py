@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Diagram, DiagramError, Kind, Tile, trace, weight, weighty_cells
-from .mvpd import find_upgrade, is_member, is_top, mvpd_set
+from .diagrams import Diagram, DiagramError, Kind, Tile, is_member, trace, weight, weighty_cells
+from .mvpd import find_upgrade, is_top, mvpd_set
 from .permutations import Perm
 from .pipedream import grothendieck, max_cross_count
 
@@ -114,10 +114,20 @@ def find_pattern(d: Diagram, w: Perm) -> tuple[int, int]:
     )
 
 
+# The tile each single-tile step writes into its cell.
+_STEP_TILE = {"mark": Tile.MARKED_SE, "bump_to_cross": Tile.CROSS}
+
+
 @dataclass(frozen=True)
 class Step:
     op: str  # "mark" | "bump_to_cross" | "droop_prime"
     cell: tuple[int, int]
+
+    def apply(self, d: Diagram, w: Perm) -> Diagram:
+        """The diagram this step rewrites d into."""
+        if self.op == "droop_prime":
+            return droop_prime(d, *self.cell, w)
+        return d.with_tiles({self.cell: _STEP_TILE[self.op]})
 
     def to_json(self) -> dict:
         return {"op": self.op, "cell": list(self.cell)}
@@ -152,6 +162,8 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
     """
     if not w.is_inverse_fireworks():
         raise ValueError(f"{w.letters}: not inverse fireworks")
+    if d.kind is not Kind.MVPD:
+        raise ValueError(f"expected an MVPD, got {d.kind.value}")
     if not is_member(d, w):
         raise ValueError("input diagram is not in the stated set")
     if is_top(d, w):
@@ -163,15 +175,16 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
         upgrade = find_upgrade(d, w)
         if upgrade is not None:
             (i, j), tile = upgrade
-            op = "mark" if tile is Tile.MARKED_SE else "bump_to_cross"
-            steps.append(Step(op, (i, j)))
-            return _finish(w, start, steps, d.with_tiles({(i, j): tile}), gained_row=i)
+            step = Step("mark" if tile is Tile.MARKED_SE else "bump_to_cross", (i, j))
+            steps.append(step)
+            return _finish(w, start, steps, step.apply(d, w), gained_row=i)
         i, j = find_pattern(d, w)
         site = locate_droop_site(d, i, j)
         before = weighty_cells(d)
-        nxt = droop_prime(d, i, j, w)
+        step = Step("droop_prime", (i, j))
+        nxt = step.apply(d, w)
         after = weighty_cells(nxt)
-        steps.append(Step("droop_prime", (i, j)))
+        steps.append(step)
         foot = (site.i_prime, j)
         landing = (site.i_prime, j + 1)
         if len(after) == len(before) + 1:
@@ -206,17 +219,6 @@ class ConjectureReport:
     checked: int
     failures: tuple[str, ...] = ()
     certificates: tuple[Certificate, ...] = ()
-
-    def summary(self) -> str:
-        status = "pass" if self.ok else "FAIL"
-        out = f"{self.mode} w={w_str(self.w)}: {status} ({self.checked} monomials)"
-        if self.failures:
-            out += "\n" + "\n".join("  " + f for f in self.failures)
-        return out
-
-
-def w_str(w: Perm) -> str:
-    return ",".join(str(v) for v in w.letters)
 
 
 def check_support_growth(w: Perm, mode: str = "direct") -> ConjectureReport:

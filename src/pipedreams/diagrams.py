@@ -1,5 +1,6 @@
-"""Tile grids shared by the three diagram species, the pipe tracer, and the
-signed weight sum that all three species compute.
+"""Tile grids shared by the three diagram species, the pipe tracer, the one
+definition of a diagram of a permutation, and the signed weight sum that all
+three species compute.
 
 Coordinates are one-based ``(row, column)`` with row 1 at the top, so a
 "lower" tile has a larger row index.  Pipes enter from the left edge, move
@@ -10,6 +11,12 @@ off the top edge, the pairs of pipes that really cross, and, when asked to
 record, the labels of every cell (west in, south in, north out, east out)
 and the lowest horizontal of every pipe.  Cell questions (``pipe_at``, and
 ``markable``, the one rule for where a mark may sit) are lookups in those.
+The tracer is also the one edge rule: it raises on the first pair of tiles
+whose edges disagree, and ``validate`` reports that.
+
+A diagram of w in a species is a grid in the species' tile alphabet whose
+edges agree and whose traced code is ``code_of(kind, w)``.  ``is_member``
+tests that, and ``members`` backtracks every unmarked such grid.
 """
 
 from __future__ import annotations
@@ -235,7 +242,11 @@ def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
             t = d.tiles[i - 1][j - 1]
             w_in, s_in = west, south[j]
             if bool(w_in) != t.has("W") or bool(s_in) != t.has("S"):
-                raise DiagramError(f"({i},{j}) {t.value!r}: pipe and tile edges disagree")
+                if bool(w_in) != t.has("W"):
+                    raise DiagramError(f"({i},{j - 1})-({i},{j}): east/west edges disagree")
+                if i == rows:
+                    raise DiagramError(f"({i},{j}): south connection leaves the grid")
+                raise DiagramError(f"({i},{j})-({i + 1},{j}): south/north edges disagree")
             n_out = e_out = 0
             if t is Tile.HORIZONTAL:
                 e_out = w_in
@@ -260,7 +271,7 @@ def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
             south[j] = n_out
             west = e_out
         if west:
-            raise DiagramError(f"pipe {west} exits the right edge in row {i}")
+            raise DiagramError(f"({i},{cols}): east connection leaves the grid")
     return TraceResult(
         code=Code(tuple(south[1 : cols + 1]), d.n),
         crossed_pairs=frozenset(crossed),
@@ -270,28 +281,19 @@ def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
 
 
 def validate(d: Diagram) -> list[str]:
-    """All invariant violations of the diagram's species (empty list = valid)."""
-    out: list[str] = []
-    rows, cols = d.rows, d.cols
-    for i, j, t in d.cells():
-        if t not in allowed_tiles(d.kind, d.n, i, j):
-            out.append(f"({i},{j}): {t.value!r} not allowed in a {d.kind.value} there")
-    for i, j, t in d.cells():
-        if j == cols:
-            if t.has("E"):
-                out.append(f"({i},{j}): east connection leaves the grid")
-        elif t.has("E") != d.tile(i, j + 1).has("W"):
-            out.append(f"({i},{j})-({i},{j + 1}): east/west edges disagree")
-        if i == rows:
-            if t.has("S"):
-                out.append(f"({i},{j}): south connection leaves the grid")
-        elif t.has("S") != d.tile(i + 1, j).has("N"):
-            out.append(f"({i},{j})-({i + 1},{j}): south/north edges disagree")
-    if out:
-        return out
-    if d.kind is Kind.MVPD and any(t is Tile.MARKED_SE for _, _, t in d.cells()):
-        out.extend(mark_violations(d, trace(d)))
-    return out
+    """Invariant violations of the diagram's species (empty list = valid):
+    every tile outside its alphabet, else the first edge problem the tracer
+    meets, else every misplaced mark."""
+    out = [
+        f"({i},{j}): {t.value!r} not allowed in a {d.kind.value} there"
+        for i, j, t in d.cells()
+        if t not in allowed_tiles(d.kind, d.n, i, j)
+    ]
+    try:
+        tr = trace(d)
+    except DiagramError as exc:
+        return out + [str(exc)]
+    return out or mark_violations(d, tr)
 
 
 def mark_violations(d: Diagram, tr: TraceResult) -> list[str]:
@@ -311,8 +313,6 @@ def enumerate_structures(kind: Kind, n: int, entering: Iterable[int]) -> Iterato
     bottom-to-top, left-to-right, so each cell's west and south demands are
     already fixed when its tile is picked.
     """
-    if kind is Kind.PD:
-        raise ValueError("pipe dreams are enumerated by choice cells, not backtracking")
     rows, cols = grid_shape(kind, n)
     want = frozenset(entering)
     if any(not 1 <= r <= rows for r in want):
@@ -357,6 +357,39 @@ def enumerate_structures(kind: Kind, n: int, entering: Iterable[int]) -> Iterato
 def sort_key(d: Diagram) -> str:
     """Canonical ordering key for sets of diagrams."""
     return d.render_text()
+
+
+def code_of(kind: Kind, w: Perm) -> Code:
+    """The code every diagram of w in the species reads off its top edge:
+    w's inverse for PDs, its column code for MVPDs, and its reduced column
+    code for BVPDs (a ``ValueError`` unless w is inverse fireworks)."""
+    if kind is Kind.PD:
+        return Code(w.inverse.letters, w.n)
+    if kind is Kind.MVPD:
+        return w.column_code()
+    return w.reduced_column_code()
+
+
+def is_member(d: Diagram, w: Perm) -> bool:
+    """True iff d is a diagram of w in its species: a valid grid whose
+    traced code is ``code_of(d.kind, w)``."""
+    return (
+        d.n == w.n
+        and not validate(d)
+        and trace(d, record_paths=False).code == code_of(d.kind, w)
+    )
+
+
+def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
+    """The unmarked diagrams of w in the species, in canonical order: the
+    backtracked fillings whose traced code is w's."""
+    code = code_of(kind, w)
+    found = (
+        d
+        for d in enumerate_structures(kind, w.n, code.pipes)
+        if trace(d, record_paths=False).code == code
+    )
+    return tuple(sorted(found, key=sort_key))
 
 
 # The weight-bearing tiles of each species.  In a BVPD a pipe turns north

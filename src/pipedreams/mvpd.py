@@ -17,23 +17,17 @@ from .diagrams import (
     DiagramError,
     Kind,
     Tile,
-    enumerate_structures,
+    code_of,
+    is_member,
+    members,
     signed_weight_sum,
     sort_key,
     trace,
-    validate,
     weighty_cells,
 )
 from .permutations import Perm
 from .pipedream import max_cross_count, pd_from_crosses, pd_set
 from .polynomials import Poly
-
-
-def is_member(d: Diagram, w: Perm) -> bool:
-    """True iff d is a valid MVPD whose column-to-row code matches w."""
-    if d.kind is not Kind.MVPD or d.n != w.n or validate(d):
-        return False
-    return trace(d, record_paths=False).code == w.column_code()
 
 
 def pd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
@@ -44,7 +38,7 @@ def pd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
     kept).  A cross can never be reduced to a lone north-bound strand.
     """
     tr = trace(d)
-    if Perm(tr.code.entries).inverse != w:
+    if tr.code != code_of(Kind.PD, w):
         raise ValueError(f"diagram does not belong to {w.letters}")
     kept = frozenset(range(1, w.n + 1)) - w.inverse.lr_maxima()
     grid = []
@@ -94,14 +88,11 @@ def mvpd_set(w: Perm) -> tuple[Diagram, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_mvpd_direct(w: Perm) -> tuple[Diagram, ...]:
-    """Independent oracle: backtrack the staircase fillings with w's code,
-    then expand every subset of markable elbows."""
-    code = w.column_code()
+    """Independent oracle: backtrack the unmarked diagrams of w, then expand
+    every subset of markable elbows."""
     out = []
-    for d in enumerate_structures(Kind.MVPD, w.n, code.pipes):
+    for d in members(Kind.MVPD, w):
         tr = trace(d)
-        if tr.code != code:
-            continue
         markable = [(i, j) for i, j, t in d.cells() if t is Tile.ELBOW_SE and tr.markable(i, j)]
         for k in range(len(markable) + 1):
             for subset in combinations(markable, k):

@@ -1,7 +1,7 @@
 """Exhaustive pipe-dream enumeration and the signed weight sums it generates.
 
-Every filling of the staircase choice cells by crosses or bumps is traced
-once and grouped by the inverse of its top reading; all per-permutation
+Every filling of the staircase by crosses or bumps is backtracked and traced
+once, and grouped by the inverse of its top reading; all per-permutation
 queries go through that index.
 """
 
@@ -11,7 +11,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .diagrams import Diagram, Kind, Tile, signed_weight_sum, sort_key, trace, weighty_cells
+from .diagrams import (
+    Diagram,
+    Kind,
+    Tile,
+    enumerate_structures,
+    signed_weight_sum,
+    sort_key,
+    trace,
+    weighty_cells,
+)
 from .permutations import Perm
 from .polynomials import Poly
 
@@ -29,11 +38,6 @@ class PipeDreamIndex:
 
     def pds(self, w: Perm) -> tuple[Diagram, ...]:
         return self.by_perm.get(w, ())
-
-
-def choice_cells(n: int) -> list[tuple[int, int]]:
-    """The freely fillable staircase cells, in row-major order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
 
 
 def pd_from_crosses(n: int, crosses: frozenset[tuple[int, int]]) -> Diagram:
@@ -64,11 +68,8 @@ def enumerate_all(n: int, *, max_n: int | None = None) -> PipeDreamIndex:
     bound = DEFAULT_MAX_N if max_n is None else max_n
     if not 1 <= n <= bound:
         raise ValueError(f"n={n} outside the configured bound 1..{bound}")
-    cells = choice_cells(n)
     groups: dict[Perm, list[Diagram]] = {}
-    for bits in range(1 << len(cells)):
-        crosses = frozenset(c for k, c in enumerate(cells) if bits >> k & 1)
-        d = pd_from_crosses(n, crosses)
+    for d in enumerate_structures(Kind.PD, n, range(1, n + 1)):
         reading = trace(d, record_paths=False).code.entries
         groups.setdefault(Perm(reading).inverse, []).append(d)
     index = PipeDreamIndex(

@@ -6,7 +6,7 @@ import pytest
 from pipedreams import cli, construct, pipedream
 from pipedreams.cli import main
 from pipedreams.diagrams import DiagramError
-from pipedreams.mvpd import enumerate_mvpd_direct
+from pipedreams.mvpd import enumerate_mvpd_direct, mvpd_set
 from pipedreams.permutations import Perm
 
 
@@ -67,6 +67,16 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--kind", "mvpd", "--w", "1,2,3,4,5,7,6")
         assert code == 0
         assert out.strip() == "\n\n".join(d.render_text() for d in enumerate_mvpd_direct(w))
+
+    def test_mvpd_needs_no_index(self, capsys, monkeypatch):
+        w = Perm.from_one_line([1, 2, 3, 4, 6, 5])
+        want = "\n\n".join(d.render_text() for d in mvpd_set(w))
+        mvpd_set.cache_clear()
+        monkeypatch.setattr(pipedream, "_INDEX_CACHE", {})
+        code, out, _ = run(capsys, "enumerate", "--kind", "mvpd", "--w", "1,2,3,4,6,5")
+        assert code == 0
+        assert out.strip() == want
+        assert 6 not in pipedream._INDEX_CACHE
 
     def test_bvpd_text(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "bvpd", "--w", "2,4,1,3")

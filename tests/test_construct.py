@@ -10,10 +10,20 @@ from pipedreams.construct import (
     find_pattern,
     locate_droop_site,
 )
-from pipedreams.diagrams import Diagram, DiagramError, Kind, Tile, trace, weight, weighty_cells
-from pipedreams.mvpd import find_upgrade, is_member, is_top, mvpd_set
+from pipedreams.bvpd import enumerate_bvpd
+from pipedreams.diagrams import (
+    Diagram,
+    DiagramError,
+    Kind,
+    Tile,
+    is_member,
+    trace,
+    weight,
+    weighty_cells,
+)
+from pipedreams.mvpd import find_upgrade, is_top, mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
-from pipedreams.pipedream import grothendieck
+from pipedreams.pipedream import grothendieck, pd_set
 
 W2413 = Perm.from_one_line([2, 4, 1, 3])
 
@@ -156,6 +166,13 @@ class TestConstructUp:
                     construct_up(m, w)
                 break
 
+    def test_rejects_other_species(self):
+        # A PD or BVPD of w is a member of w's set, but not an MVPD to raise.
+        for d in (pd_set(W2413)[0], enumerate_bvpd(W2413)[0]):
+            assert is_member(d, W2413)
+            with pytest.raises(ValueError, match="expected an MVPD"):
+                construct_up(d, W2413)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_sweep(self, n):
         for w in symmetric_group(n):
@@ -167,6 +184,10 @@ class TestConstructUp:
                     continue
                 cert = construct_up(m, w)
                 assert isinstance(cert, Certificate)
+                replay = m
+                for step in cert.steps:
+                    replay = step.apply(replay, w)
+                assert replay == cert.output
                 assert row_weight(w, cert.output) == row_weight(w, m).times_x(
                     cert.gained_row
                 )

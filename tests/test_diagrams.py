@@ -1,5 +1,8 @@
 import pytest
 
+from itertools import combinations
+
+from pipedreams.bvpd import enumerate_bvpd
 from pipedreams.diagrams import (
     Diagram,
     DiagramError,
@@ -7,11 +10,14 @@ from pipedreams.diagrams import (
     Tile,
     allowed_tiles,
     enumerate_structures,
+    is_member,
+    mark_violations,
     trace,
     validate,
 )
+from pipedreams.mvpd import mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
-from pipedreams.pipedream import pd_from_crosses, pd_set
+from pipedreams.pipedream import enumerate_all, pd_from_crosses, pd_set
 
 # The n=5 diagram of one-line 24513 whose pipes 3 and 5 meet twice:
 # really at (3,2) and then fake at (2,3).
@@ -121,6 +127,88 @@ class TestValidate:
         assert not validate(d)
         bad = d.with_tiles({(1, 1): Tile.MARKED_SE})
         assert any("no lower horizontal" in v for v in validate(bad))
+
+
+def neighbour_edge_problems(d):
+    """Oracle: the edge check that ``validate`` made before the tracer became
+    the one edge rule.  Every pair of neighbouring tiles must agree, and no
+    tile may connect east out of the last column or south out of the last
+    row."""
+    out = []
+    rows, cols = d.rows, d.cols
+    for i, j, t in d.cells():
+        if j == cols:
+            if t.has("E"):
+                out.append(f"({i},{j}): east connection leaves the grid")
+        elif t.has("E") != d.tile(i, j + 1).has("W"):
+            out.append(f"({i},{j})-({i},{j + 1}): east/west edges disagree")
+        if i == rows:
+            if t.has("S"):
+                out.append(f"({i},{j}): south connection leaves the grid")
+        elif t.has("S") != d.tile(i + 1, j).has("N"):
+            out.append(f"({i},{j})-({i + 1},{j}): south/north edges disagree")
+    return out
+
+
+def oracle_rejects(d):
+    """The verdict of ``validate`` with the neighbour loop as its edge rule."""
+    if any(t not in allowed_tiles(d.kind, d.n, i, j) for i, j, t in d.cells()):
+        return True
+    return bool(neighbour_edge_problems(d) or mark_violations(d, trace(d)))
+
+
+def species_members(n):
+    """(w, diagrams of w) for every w of S_n and every species that has them."""
+    for w in symmetric_group(n):
+        yield w, pd_set(w)
+        yield w, mvpd_set(w)
+        if w.is_inverse_fireworks():
+            yield w, enumerate_bvpd(w)
+
+
+class TestEdgeRuleOracle:
+    def test_one_tile_mutations(self):
+        checked = 0
+        for n in (3, 4):
+            for _, ds in species_members(n):
+                for d in ds:
+                    for i, j, old in d.cells():
+                        for t in Tile:
+                            if t is old:
+                                continue
+                            mutant = d.with_tiles({(i, j): t})
+                            assert bool(validate(mutant)) == oracle_rejects(mutant), mutant
+                            checked += 1
+        assert checked > 10_000
+
+    def test_first_edge_problem_is_one_of_the_oracles(self):
+        # The tracer names the first problem it meets, in the oracle's words.
+        for _, ds in species_members(3):
+            for d in ds:
+                for i, j, _ in d.cells():
+                    for t in Tile:
+                        mutant = d.with_tiles({(i, j): t})
+                        problems = neighbour_edge_problems(mutant)
+                        if problems:
+                            assert validate(mutant)[-1] in problems
+
+
+class TestMembership:
+    def test_member_exactly_of_its_own_permutation(self):
+        perms = list(symmetric_group(4))
+        for w_own, ds in species_members(4):
+            for d in ds:
+                for w in perms:
+                    if d.kind is Kind.BVPD and not w.is_inverse_fireworks():
+                        # Only inverse fireworks permutations have bumpless diagrams.
+                        with pytest.raises(ValueError):
+                            is_member(d, w)
+                    else:
+                        assert is_member(d, w) == (w == w_own)
+
+    def test_other_size_is_not_a_member(self):
+        d = pd_set(Perm.from_one_line([2, 1, 3]))[0]
+        assert not is_member(d, Perm.from_one_line([2, 1, 3, 4]))
 
 
 def crossings(d, tr):
@@ -257,9 +345,19 @@ class TestEnumerateStructures:
         for d in enumerate_structures(Kind.MVPD, 4, frozenset({1, 2})):
             assert not validate(d)
 
-    def test_pd_not_supported(self):
-        with pytest.raises(ValueError):
-            list(enumerate_structures(Kind.PD, 3, frozenset({1, 2, 3})))
+    def test_pd_fillings_match_the_index(self):
+        # Every cross/bump filling of the staircase once: the index's pipe
+        # dreams, and every subset of the staircase made crosses.
+        for n in range(1, 6):
+            ds = list(enumerate_structures(Kind.PD, n, range(1, n + 1)))
+            assert len(ds) == len(set(ds)) == 2 ** (n * (n - 1) // 2)
+            indexed = {d for group in enumerate_all(n).by_perm.values() for d in group}
+            assert set(ds) == indexed
+            staircase = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
+            subsets = (
+                frozenset(c) for k in range(len(staircase) + 1) for c in combinations(staircase, k)
+            )
+            assert set(ds) == {pd_from_crosses(n, c) for c in subsets}
 
     def test_alphabet_regions(self):
         assert allowed_tiles(Kind.PD, 3, 1, 1) == (Tile.CROSS, Tile.BUMP)

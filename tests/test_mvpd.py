@@ -8,6 +8,7 @@ from pipedreams.diagrams import (
     Kind,
     Tile,
     enumerate_structures,
+    is_member,
     trace,
     weight,
     weighty_cells,
@@ -17,7 +18,6 @@ from pipedreams.mvpd import (
     find_upgrade,
     grothendieck_via_mvpd,
     double_grothendieck_via_mvpd,
-    is_member,
     is_top,
     mvpd_set,
     mvpd_to_pd,
