@@ -148,6 +148,8 @@ def _cmd_construct_up(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     bound = pipedream.DEFAULT_MAX_N
     if args.n > bound:
         if not args.force:

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .permutations import Code, Perm
-from .polynomials import Monomial, Poly, weight_factor_product
+from .polynomials import Monomial, Poly
 
 
 class DiagramError(Exception):
@@ -188,8 +188,11 @@ class Diagram:
 
     @classmethod
     def from_json(cls, data: Mapping) -> Diagram:
-        kind = Kind(data["kind"])
-        return cls.parse_text(kind, int(data["n"]), "\n".join(data["rows"]))
+        kind, n, rows = data["kind"], data["n"], data["rows"]
+        ok = isinstance(kind, str) and type(n) is int and isinstance(rows, list)
+        if not ok or not all(isinstance(r, str) for r in rows):
+            raise DiagramError("expected a string kind, an integer n and a list of string rows")
+        return cls.parse_text(Kind(kind), n, "\n".join(rows))
 
 
 # The labels of one traced cell: (west in, south in, north out, east out),
@@ -284,6 +287,12 @@ def validate(d: Diagram) -> list[str]:
     """Invariant violations of the diagram's species (empty list = valid):
     every tile outside its alphabet, else the first edge problem the tracer
     meets, else every misplaced mark."""
+    return _checked_trace(d)[0]
+
+
+def _checked_trace(d: Diagram) -> tuple[list[str], TraceResult | None]:
+    """``validate``'s problems together with the trace they were read from
+    (``None`` when the tracer refused the grid)."""
     out = [
         f"({i},{j}): {t.value!r} not allowed in a {d.kind.value} there"
         for i, j, t in d.cells()
@@ -292,8 +301,8 @@ def validate(d: Diagram) -> list[str]:
     try:
         tr = trace(d)
     except DiagramError as exc:
-        return out + [str(exc)]
-    return out or mark_violations(d, tr)
+        return out + [str(exc)], None
+    return out or mark_violations(d, tr), tr
 
 
 def mark_violations(d: Diagram, tr: TraceResult) -> list[str]:
@@ -373,11 +382,10 @@ def code_of(kind: Kind, w: Perm) -> Code:
 def is_member(d: Diagram, w: Perm) -> bool:
     """True iff d is a diagram of w in its species: a valid grid whose
     traced code is ``code_of(d.kind, w)``."""
-    return (
-        d.n == w.n
-        and not validate(d)
-        and trace(d, record_paths=False).code == code_of(d.kind, w)
-    )
+    if d.n != w.n:
+        return False
+    problems, tr = _checked_trace(d)
+    return not problems and tr.code == code_of(d.kind, w)
 
 
 def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
@@ -414,20 +422,37 @@ def weight(d: Diagram) -> Monomial:
     return Monomial.from_rows(d.n, (i for i, _ in weighty_cells(d)))
 
 
+def _bump(e: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return e[:k] + (e[k] + 1,) + e[k + 1 :]
+
+
 def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -> Poly:
     """Sum of (-1)^(k - inversions(w)) times the weight of each diagram, where
     k counts its weighty tiles.  The double weight is the product of
-    x_i + y_j - x_i*y_j over the weighty cells (i, j)."""
+    x_i + y_j - x_i*y_j over the weighty cells (i, j).
+
+    This is the one place a weight is expanded.  Terms are keyed by flat
+    exponent tuples (the x block, then the y block) until the end."""
     n = w.n
     ell = w.inversions()
-    acc: dict[Monomial, int] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for d in ds:
         cells = weighty_cells(d)
         sign = -1 if (len(cells) - ell) % 2 else 1
         if double:
-            terms = weight_factor_product(n, sorted(cells)).items()
+            terms = {(0,) * (2 * n): sign}
+            for i, j in cells:
+                grown: dict[tuple[int, ...], int] = {}
+                for e, c in terms.items():
+                    ex = _bump(e, i - 1)
+                    for f, v in ((ex, c), (_bump(e, n + j - 1), c), (_bump(ex, n + j - 1), -c)):
+                        grown[f] = grown.get(f, 0) + v
+                terms = grown
         else:
-            terms = ((Monomial.from_rows(n, (i for i, _ in cells)), 1),)
-        for m, c in terms:
-            acc[m] = acc.get(m, 0) + sign * c
-    return Poly(n, acc)
+            e = [0] * (2 * n)
+            for i, _ in cells:
+                e[i - 1] += 1
+            terms = {tuple(e): sign}
+        for e, c in terms.items():
+            acc[e] = acc.get(e, 0) + c
+    return Poly(n, {Monomial(e[:n], e[n:]): c for e, c in acc.items()})

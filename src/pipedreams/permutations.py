@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations as _one_line_tuples
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,6 @@ class Perm:
 
     def to_json(self) -> list[int]:
         return list(self.letters)
-
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> Perm:
-        return cls.from_one_line(data)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,6 @@ class Monomial:
     y: tuple[int, ...]
 
     @classmethod
-    def one(cls, n: int) -> Monomial:
-        return cls((0,) * n, (0,) * n)
-
-    @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> Monomial:
         """x_i exponent = multiplicity of i among ``rows``; no y part."""
         xs = [0] * n
@@ -77,26 +73,11 @@ class Poly:
             m: c for m, c in (terms or {}).items() if c != 0
         }
 
-    @classmethod
-    def zero(cls, n: int) -> Poly:
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> Poly:
-        return cls(n, {Monomial.one(n): 1})
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, coeff: int = 1) -> Poly:
-        return cls(m.n, {m: coeff})
-
     def items(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self._terms.items())
 
     def sorted_items(self) -> list[tuple[Monomial, int]]:
         return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -109,9 +90,6 @@ class Poly:
             isinstance(other, Poly) and self.n == other.n and self._terms == other._terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._terms.items())))
-
     def __add__(self, other: Poly) -> Poly:
         self._check_compatible(other)
         out = dict(self._terms)
@@ -122,12 +100,6 @@ class Poly:
             elif m in out:
                 del out[m]
         return Poly(self.n, out)
-
-    def __neg__(self) -> Poly:
-        return Poly(self.n, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
         self._check_compatible(other)
@@ -157,36 +129,9 @@ class Poly:
             raise ValueError("degree of the zero polynomial")
         return max(m.degree for m in self._terms)
 
-    def min_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("degree of the zero polynomial")
-        return min(m.degree for m in self._terms)
-
     def top_component(self) -> Poly:
         d = self.total_degree()
         return Poly(self.n, {m: c for m, c in self._terms.items() if m.degree == d})
-
-    def min_degree_component(self) -> Poly:
-        d = self.min_degree()
-        return Poly(self.n, {m: c for m, c in self._terms.items() if m.degree == d})
-
-    def substitute_y_zero(self) -> Poly:
-        """Set every y_j to 0 (terms touching a y variable vanish)."""
-        return Poly(self.n, {m: c for m, c in self._terms.items() if not any(m.y)})
-
-    def evaluate(self, xs: Iterable[int], ys: Iterable[int] | None = None) -> int:
-        """Exact evaluation at integer points (ys defaults to all zeros)."""
-        xv = list(xs)
-        yv = list(ys) if ys is not None else [0] * self.n
-        total = 0
-        for m, c in self._terms.items():
-            v = c
-            for base, e in zip(xv, m.x):
-                v *= base**e
-            for base, e in zip(yv, m.y):
-                v *= base**e
-            total += v
-        return total
 
     def text(self) -> str:
         if not self._terms:
@@ -209,32 +154,3 @@ class Poly:
         return [
             {"c": c, "x": list(m.x), "y": list(m.y)} for m, c in self.sorted_items()
         ]
-
-    @classmethod
-    def from_json(cls, n: int, data: Iterable[Mapping]) -> Poly:
-        terms: dict[Monomial, int] = {}
-        for entry in data:
-            m = Monomial(tuple(entry["x"]), tuple(entry["y"]))
-            terms[m] = terms.get(m, 0) + int(entry["c"])
-        return cls(n, terms)
-
-
-def weight_factor(n: int, i: int, j: int) -> Poly:
-    """The double-weight factor x_i + y_j - x_i*y_j for one cell."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"cell ({i},{j}) out of range for n={n}")
-    xs = [0] * n
-    ys = [0] * n
-    xs[i - 1] = 1
-    mx = Monomial(tuple(xs), (0,) * n)
-    ys[j - 1] = 1
-    my = Monomial((0,) * n, tuple(ys))
-    return Poly(n, {mx: 1, my: 1, mx * my: -1})
-
-
-def weight_factor_product(n: int, cells: Iterable[tuple[int, int]]) -> Poly:
-    """Expanded product of the double-weight factors over the given cells."""
-    out = Poly.one(n)
-    for i, j in cells:
-        out = out * weight_factor(n, i, j)
-    return out

@@ -208,6 +208,12 @@ class TestCheck:
         assert "witness: w=" in out
         assert "planted constructor fault" in out
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one(self, capsys, n):
+        code, _, err = run(capsys, "check", "--what", "prop25", "--n", n)
+        assert code == 2
+        assert err == "error: --n must be at least 1\n"
+
     def test_usage_error_on_unknown_check(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "check", "--what", "nope", "--n", "3")
@@ -242,6 +248,27 @@ class TestRender:
         code, _, err = run(capsys, "render", "--in", str(src))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "PD", "n": [2], "rows": ["+J", "J."]},
+            {"kind": "PD", "n": 2, "rows": 5},
+            {"kind": "PD", "n": 2, "rows": [1, 2]},
+        ],
+    )
+    def test_ill_typed_json_is_usage_error(self, capsys, tmp_path, data):
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps(data))
+        for argv in (
+            ["render"],
+            ["map", "--which", "phi", "--w", "2,1"],
+            ["construct-up", "--w", "2,1"],
+        ):
+            code, out, err = run(capsys, *argv, "--in", str(src))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "render", "--in", str(tmp_path / "absent.json"))

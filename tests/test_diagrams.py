@@ -2,6 +2,7 @@ import pytest
 
 from itertools import combinations
 
+from pipedreams import diagrams
 from pipedreams.bvpd import enumerate_bvpd
 from pipedreams.diagrams import (
     Diagram,
@@ -209,6 +210,20 @@ class TestMembership:
     def test_other_size_is_not_a_member(self):
         d = pd_set(Perm.from_one_line([2, 1, 3]))[0]
         assert not is_member(d, Perm.from_one_line([2, 1, 3, 4]))
+
+    def test_traces_a_member_once(self, monkeypatch):
+        calls = []
+
+        def counting_trace(d, **kwargs):
+            calls.append(d)
+            return trace(d, **kwargs)
+
+        monkeypatch.setattr(diagrams, "trace", counting_trace)
+        for w, ds in species_members(3):
+            for d in ds:
+                calls.clear()
+                assert is_member(d, w)
+                assert len(calls) == 1
 
 
 def crossings(d, tr):

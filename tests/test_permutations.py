@@ -29,7 +29,7 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         w = perm(2, 4, 1, 3)
-        assert Perm.from_json(w.to_json()) == w
+        assert Perm.from_one_line(w.to_json()) == w
 
 
 class TestInverse:
