@@ -6,7 +6,6 @@ from .diagrams import Diagram, DiagramError, Kind, Tile, trace, validate
 from .permutations import Code, Perm, symmetric_group
 from .pipedream import (
     double_grothendieck,
-    enumerate_all,
     grothendieck,
     max_cross_count,
     pd_set,
@@ -24,7 +23,6 @@ __all__ = [
     "Poly",
     "Tile",
     "double_grothendieck",
-    "enumerate_all",
     "grothendieck",
     "max_cross_count",
     "pd_set",

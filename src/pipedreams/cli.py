@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import pipedream
 from .bvpd import (
     bvpd_to_mvpd,
     bvpd_to_pd,
@@ -26,7 +25,7 @@ from .construct import construct_up
 from .diagrams import Diagram, DiagramError, Kind
 from .mvpd import enumerate_mvpd_direct, mvpd_to_pd, pd_to_mvpd
 from .permutations import Perm
-from .pipedream import double_grothendieck, enumerate_all, grothendieck, pd_set, top_grothendieck
+from .pipedream import double_grothendieck, grothendieck, pd_set, top_grothendieck
 from .polynomials import Poly
 
 
@@ -99,8 +98,8 @@ def _cmd_top(args) -> int:
     return 0
 
 
-# Each species' diagrams of w.  The MVPDs are backtracked directly, so they
-# need no pipe-dream index at any n (prop36 checks them against the index).
+# Each species' diagrams of w.  The MVPDs are filled directly, so they need
+# no pipe dreams at any n (prop36 checks them against the pipe dreams' image).
 _DIAGRAM_SETS = {"pd": pd_set, "mvpd": enumerate_mvpd_direct, "bvpd": enumerate_bvpd}
 
 
@@ -150,12 +149,6 @@ def _cmd_construct_up(args) -> int:
 def _cmd_check(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    bound = pipedream.DEFAULT_MAX_N
-    if args.n > bound:
-        if not args.force:
-            raise UsageError(f"n={args.n} above the default bound {bound}; pass --force")
-        # Built above the bound here, the index then serves the sweep's queries.
-        enumerate_all(args.n, max_n=args.n)
     report = run_check(args.what, args.n, args.inverse_fireworks_only)
     for line in report.lines():
         print(line)
@@ -206,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True, choices=sorted(CHECKS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--inverse-fireworks-only", action="store_true")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("render", help="normalize a diagram file to text")

@@ -16,7 +16,8 @@ whose edges disagree, and ``validate`` reports that.
 
 A diagram of w in a species is a grid in the species' tile alphabet whose
 edges agree and whose traced code is ``code_of(kind, w)``.  ``is_member``
-tests that, and ``members`` backtracks every unmarked such grid.
+tests that, and ``members`` backtracks every unmarked such grid, routing the
+labels by the tracer's rule as it fills and pruning by the code.
 """
 
 from __future__ import annotations
@@ -225,14 +226,31 @@ class TraceResult:
         return not w_in and s_in != 0 and self.lowest_horizontal.get(s_in, 0) > i
 
 
-def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
-    """Propagate pipe labels cell by cell, bottom-to-top, left-to-right.
+def _exits(t: Tile, w_in: int, s_in: int, crossed: set[frozenset[int]]) -> tuple[int, int]:
+    """The (north, east) labels leaving tile t, given its (west, south) labels.
 
     At a cross, the first meeting of two labels is a real crossing (both
-    strands pass straight through, so the south label leaves north); a pair
-    that has already crossed bounces instead, with the west label leaving
-    north.
+    strands pass straight through, so the south label leaves north) and the
+    pair joins ``crossed``; a pair that has already crossed bounces instead,
+    with the west label leaving north.
     """
+    if t is Tile.HORIZONTAL:
+        return 0, w_in
+    if t is Tile.ELBOW_WN:
+        return w_in, 0
+    if t is Tile.ELBOW_SE or t is Tile.MARKED_SE:
+        return 0, s_in
+    if t is Tile.CROSS:
+        pair = frozenset((w_in, s_in))
+        if pair not in crossed:
+            crossed.add(pair)
+            return s_in, w_in
+    return w_in, s_in  # a bump, a bouncing cross, or a blank (0, 0)
+
+
+def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
+    """Propagate pipe labels cell by cell, bottom-to-top, left-to-right,
+    through ``_exits``."""
     rows, cols = d.rows, d.cols
     entering = d.entering_rows
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
@@ -250,22 +268,7 @@ def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
                 if i == rows:
                     raise DiagramError(f"({i},{j}): south connection leaves the grid")
                 raise DiagramError(f"({i},{j})-({i + 1},{j}): south/north edges disagree")
-            n_out = e_out = 0
-            if t is Tile.HORIZONTAL:
-                e_out = w_in
-            elif t is Tile.ELBOW_WN:
-                n_out = w_in
-            elif t is Tile.ELBOW_SE or t is Tile.MARKED_SE:
-                e_out = s_in
-            elif t is Tile.BUMP:
-                n_out, e_out = w_in, s_in
-            elif t is Tile.CROSS:
-                pair = frozenset((w_in, s_in))
-                if pair not in crossed:
-                    crossed.add(pair)
-                    n_out, e_out = s_in, w_in
-                else:
-                    n_out, e_out = w_in, s_in
+            n_out, e_out = _exits(t, w_in, s_in, crossed)
             if record_paths:
                 cells[(i, j)] = (w_in, s_in, n_out, e_out)
                 if t is Tile.HORIZONTAL:
@@ -314,55 +317,6 @@ def mark_violations(d: Diagram, tr: TraceResult) -> list[str]:
     ]
 
 
-def enumerate_structures(kind: Kind, n: int, entering: Iterable[int]) -> Iterator[Diagram]:
-    """All edge-consistent fillings with the given left-edge pipes.
-
-    Marks are never placed (``MARKED_SE`` does not occur); callers that want
-    marked diagrams expand the markable elbows afterwards.  Cells are chosen
-    bottom-to-top, left-to-right, so each cell's west and south demands are
-    already fixed when its tile is picked.
-    """
-    rows, cols = grid_shape(kind, n)
-    want = frozenset(entering)
-    if any(not 1 <= r <= rows for r in want):
-        raise ValueError(f"entering rows {sorted(want)} out of range 1..{rows}")
-    if cols == 0:
-        if want:
-            return
-        yield Diagram(kind, n, tuple(() for _ in range(rows)))
-        return
-    alphabet = {
-        (i, j): tuple(t for t in allowed_tiles(kind, n, i, j) if t is not Tile.MARKED_SE)
-        for i in range(1, rows + 1)
-        for j in range(1, cols + 1)
-    }
-    cells = [(i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1)]
-    grid = [[Tile.BLANK] * cols for _ in range(rows)]
-    north = [False] * (cols + 1)
-
-    def fill(k: int, west: bool) -> Iterator[Diagram]:
-        if k == len(cells):
-            yield Diagram(kind, n, tuple(tuple(r) for r in grid))
-            return
-        i, j = cells[k]
-        if j == 1:
-            west = i in want
-        s_dem = north[j]
-        for t in alphabet[(i, j)]:
-            c = t.connects
-            if ("W" in c) != west or ("S" in c) != s_dem:
-                continue
-            if j == cols and "E" in c:
-                continue
-            grid[i - 1][j - 1] = t
-            saved, north[j] = north[j], "N" in c
-            yield from fill(k + 1, "E" in c)
-            north[j] = saved
-            grid[i - 1][j - 1] = Tile.BLANK
-
-    yield from fill(0, False)
-
-
 def sort_key(d: Diagram) -> str:
     """Canonical ordering key for sets of diagrams."""
     return d.render_text()
@@ -388,15 +342,66 @@ def is_member(d: Diagram, w: Perm) -> bool:
     return not problems and tr.code == code_of(d.kind, w)
 
 
+# The fill recurses once per cell, and a grid of size n has up to n^2 cells:
+# at n = 32 that overruns Python's default limit of 1000 frames.  28^2 = 784
+# leaves room for the frames of the caller (a test runner's, say).
+MAX_FILL_N = 28
+
+
 def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
-    """The unmarked diagrams of w in the species, in canonical order: the
-    backtracked fillings whose traced code is w's."""
+    """The unmarked diagrams of w in the species, in canonical order.
+
+    Cells are filled in ``trace``'s order (bottom to top, left to right), so
+    each cell's west and south labels are known when its tile is picked, and
+    ``_exits`` routes them as the tracer would.  Pipes move only north and
+    east, so a tile is dead when it sends a label r east out of column j with
+    t(r) < j + 1, or north with t(r) < j, where t(r) is the column at which r
+    must leave the top edge; in row 1 the north label must be the code entry.
+    Every complete filling therefore reads w's code, with no trace after."""
+    if w.n > MAX_FILL_N:
+        raise ValueError(f"n={w.n} above the fill's depth bound {MAX_FILL_N}")
     code = code_of(kind, w)
-    found = (
-        d
-        for d in enumerate_structures(kind, w.n, code.pipes)
-        if trace(d, record_paths=False).code == code
-    )
+    rows, cols = grid_shape(kind, w.n)
+    entering = code.pipes
+    exit_col = {r: c for c, r in enumerate(code.entries, start=1) if r}
+    top = (0,) + code.entries  # top[j]: the label leaving column j's top edge
+    cells = [(i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1)]
+    # The unmarked tiles of each cell, by whether they take a west and a south pipe.
+    choices: dict[tuple[int, int, bool, bool], list[Tile]] = {}
+    for i, j in cells:
+        for t in allowed_tiles(kind, w.n, i, j):
+            if t is not Tile.MARKED_SE:
+                choices.setdefault((i, j, t.has("W"), t.has("S")), []).append(t)
+    grid = [[Tile.BLANK] * cols for _ in range(rows)]
+    south = [0] * (cols + 1)  # label heading north out of the row below, per column
+    crossed: set[frozenset[int]] = set()
+    found: list[Diagram] = []
+
+    def fill(k: int, west: int) -> None:
+        if k == len(cells):
+            found.append(Diagram(kind, w.n, tuple(tuple(r) for r in grid)))
+            return
+        i, j = cells[k]
+        if j == 1:
+            west = i if i in entering else 0
+        s_in = south[j]
+        for t in choices.get((i, j, bool(west), bool(s_in)), ()):
+            n_out, e_out = _exits(t, west, s_in, crossed)
+            fresh = t is Tile.CROSS and n_out == s_in  # this tile crossed its pair
+            alive = (
+                not (e_out and exit_col[e_out] <= j)
+                and not (n_out and exit_col[n_out] < j)
+                and (i > 1 or n_out == top[j])
+            )
+            if alive:
+                grid[i - 1][j - 1] = t
+                south[j] = n_out
+                fill(k + 1, e_out)
+            if fresh:
+                crossed.discard(frozenset((west, s_in)))
+        south[j] = s_in
+
+    fill(0, 0)
     return tuple(sorted(found, key=sort_key))
 
 

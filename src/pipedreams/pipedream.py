@@ -1,8 +1,8 @@
-"""Exhaustive pipe-dream enumeration and the signed weight sums it generates.
+"""Pipe dreams and the signed weight sums they generate.
 
-Every filling of the staircase by crosses or bumps is backtracked and traced
-once, and grouped by the inverse of its top reading; all per-permutation
-queries go through that index.
+The pipe dreams of w are ``members(Kind.PD, w)``, the fillings of the
+staircase by crosses and bumps whose top reading is w's inverse; every
+per-permutation query reads them through the cached ``pd_set``.
 """
 
 from __future__ import annotations
@@ -11,22 +11,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .diagrams import (
-    Diagram,
-    Kind,
-    Tile,
-    enumerate_structures,
-    signed_weight_sum,
-    sort_key,
-    trace,
-    weighty_cells,
-)
-from .permutations import Perm
+from .diagrams import Diagram, Kind, Tile, members, signed_weight_sum, weighty_cells
+from .permutations import Perm, symmetric_group
 from .polynomials import Poly
 
-# Size guard for the 2^(n(n-1)/2) sweep; pass max_n to enumerate_all to go
-# beyond desk scale.  n = 7 (2^21 fillings) would take minutes and gigabytes.
-DEFAULT_MAX_N = 6
+# Pipe dreams are filled up to this size only.  At n = 7 the double
+# Grothendieck polynomial of 7654321 alone raised MemoryError under a 4 GB
+# limit, so a sweep such as eq1-vs-cor37 there could not finish.
+MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -35,9 +27,6 @@ class PipeDreamIndex:
 
     n: int
     by_perm: Mapping[Perm, tuple[Diagram, ...]]
-
-    def pds(self, w: Perm) -> tuple[Diagram, ...]:
-        return self.by_perm.get(w, ())
 
 
 def pd_from_crosses(n: int, crosses: frozenset[tuple[int, int]]) -> Diagram:
@@ -55,33 +44,18 @@ def pd_from_crosses(n: int, crosses: frozenset[tuple[int, int]]) -> Diagram:
     return Diagram(Kind.PD, n, tuple(grid))
 
 
-_INDEX_CACHE: dict[int, PipeDreamIndex] = {}
-
-
-def enumerate_all(n: int, *, max_n: int | None = None) -> PipeDreamIndex:
-    """Index every one of the 2^(n(n-1)/2) fillings by its permutation.
-
-    An index already built (under any bound) is returned as it is; the
-    bound only guards a new build."""
-    if n in _INDEX_CACHE:
-        return _INDEX_CACHE[n]
-    bound = DEFAULT_MAX_N if max_n is None else max_n
-    if not 1 <= n <= bound:
-        raise ValueError(f"n={n} outside the configured bound 1..{bound}")
-    groups: dict[Perm, list[Diagram]] = {}
-    for d in enumerate_structures(Kind.PD, n, range(1, n + 1)):
-        reading = trace(d, record_paths=False).code.entries
-        groups.setdefault(Perm(reading).inverse, []).append(d)
-    index = PipeDreamIndex(
-        n, {w: tuple(sorted(ds, key=sort_key)) for w, ds in groups.items()}
-    )
-    _INDEX_CACHE[n] = index
-    return index
-
-
+@lru_cache(maxsize=None)
 def pd_set(w: Perm) -> tuple[Diagram, ...]:
     """All pipe dreams whose traced top reading is the inverse of w."""
-    return enumerate_all(w.n).pds(w)
+    if w.n > MAX_N:
+        raise ValueError(f"n={w.n} above the pipe-dream bound {MAX_N}")
+    return members(Kind.PD, w)
+
+
+def enumerate_all(n: int) -> PipeDreamIndex:
+    """The pipe dreams of every w of S_n.  Nothing in the package calls it;
+    it stays for the benchmark, whose set-ups call it and read ``by_perm``."""
+    return PipeDreamIndex(n, {w: pd_set(w) for w in symmetric_group(n)})
 
 
 @lru_cache(maxsize=None)

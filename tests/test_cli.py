@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from pipedreams import cli, construct, pipedream
+from pipedreams import cli, construct, diagrams, pipedream
+from pipedreams.checks import CHECKS
 from pipedreams.cli import main
 from pipedreams.diagrams import DiagramError
 from pipedreams.mvpd import enumerate_mvpd_direct, mvpd_set
@@ -36,7 +37,7 @@ class TestPoly:
     def test_above_the_bound(self, capsys):
         code, _, err = run(capsys, "poly", "--w", "1,2,3,4,5,7,6")
         assert code == 2
-        assert "outside the configured bound" in err
+        assert "above the pipe-dream bound 6" in err
 
     def test_bad_w(self, capsys):
         code, _, err = run(capsys, "poly", "--w", "2,2")
@@ -69,14 +70,20 @@ class TestEnumerate:
         assert out.strip() == "\n\n".join(d.render_text() for d in enumerate_mvpd_direct(w))
 
     def test_mvpd_needs_no_index(self, capsys, monkeypatch):
+        # The MVPDs are filled directly: no pipe dream is filled on the way.
         w = Perm.from_one_line([1, 2, 3, 4, 6, 5])
         want = "\n\n".join(d.render_text() for d in mvpd_set(w))
         mvpd_set.cache_clear()
-        monkeypatch.setattr(pipedream, "_INDEX_CACHE", {})
+        enumerate_mvpd_direct.cache_clear()
+        pipedream.pd_set.cache_clear()
+
+        def no_fill(*args, **kwargs):
+            raise AssertionError("enumerate --kind mvpd filled a pd_set")
+
+        monkeypatch.setattr(pipedream, "members", no_fill)
         code, out, _ = run(capsys, "enumerate", "--kind", "mvpd", "--w", "1,2,3,4,6,5")
         assert code == 0
         assert out.strip() == want
-        assert 6 not in pipedream._INDEX_CACHE
 
     def test_bvpd_text(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "bvpd", "--w", "2,4,1,3")
@@ -182,20 +189,18 @@ class TestCheck:
         )
         assert code == 0
 
-    def test_bound_needs_force(self, capsys):
-        code, _, err = run(capsys, "check", "--what", "prop25", "--n", "8")
-        assert code == 2
-        assert "--force" in err
+    def test_n_above_the_bound_is_refused(self, capsys):
+        for what in CHECKS:
+            code, _, err = run(capsys, "check", "--what", what, "--n", str(pipedream.MAX_N + 1))
+            assert code == 2, what
+            assert f"bound {pipedream.MAX_N}" in err
+            assert "Traceback" not in err
 
-    def test_force_leaves_the_bound_alone(self, capsys, monkeypatch):
-        monkeypatch.setattr(pipedream, "DEFAULT_MAX_N", 3)
-        code, out, _ = run(capsys, "check", "--what", "prop25", "--n", "4", "--force")
-        assert code == 0
-        assert "PASS" in out
-        assert pipedream.DEFAULT_MAX_N == 3
-        code, _, err = run(capsys, "check", "--what", "prop25", "--n", "4")
-        assert code == 2
-        assert "--force" in err
+    def test_force_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--what", "prop25", "--n", "4", "--force"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
 
     def test_constructor_fault_is_a_failed_check(self, capsys, monkeypatch):
         def broken(d, w):
@@ -218,6 +223,31 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "check", "--what", "nope", "--n", "3")
         assert exc.value.code == 2
+
+
+def identity_w(n):
+    return ",".join(str(k) for k in range(1, n + 1))
+
+
+# The fill recurses once per cell: above its depth bound the species that
+# fill no pipe dreams are refused with a message instead of a RecursionError.
+FILLING_COMMANDS = [("top",), ("enumerate", "--kind", "mvpd"), ("enumerate", "--kind", "bvpd")]
+
+
+class TestFillDepth:
+    @pytest.mark.parametrize("cmd", FILLING_COMMANDS, ids=["top", "mvpd", "bvpd"])
+    def test_above_the_bound_is_a_usage_error(self, capsys, cmd):
+        code, out, err = run(capsys, *cmd, "--w", identity_w(33))
+        assert code == 2
+        assert err.startswith("error:") and "depth bound" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("cmd", FILLING_COMMANDS, ids=["top", "mvpd", "bvpd"])
+    def test_largest_admitted_identity(self, capsys, cmd):
+        code, out, _ = run(capsys, *cmd, "--w", identity_w(diagrams.MAX_FILL_N))
+        assert code == 0
+        assert out.strip()
 
 
 class TestRender:

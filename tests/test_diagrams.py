@@ -10,15 +10,17 @@ from pipedreams.diagrams import (
     Kind,
     Tile,
     allowed_tiles,
-    enumerate_structures,
     is_member,
+    members,
     mark_violations,
     trace,
     validate,
 )
 from pipedreams.mvpd import mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
-from pipedreams.pipedream import enumerate_all, pd_from_crosses, pd_set
+from pipedreams.pipedream import pd_from_crosses, pd_set
+
+from fill_oracle import oracle_members, unpruned_fill
 
 # The n=5 diagram of one-line 24513 whose pipes 3 and 5 meet twice:
 # really at (3,2) and then fake at (2,3).
@@ -347,27 +349,29 @@ class TestTrace:
 
 class TestEnumerateStructures:
     def test_identity_mvpd_unique(self):
-        out = list(enumerate_structures(Kind.MVPD, 3, frozenset()))
+        out = members(Kind.MVPD, Perm.identity(3))
         assert len(out) == 1
         assert out[0].render_text() == "...\n...\n..."
+        assert list(unpruned_fill(Kind.MVPD, 3, frozenset())) == list(out)
 
     def test_empty_bvpd_grid(self):
-        out = list(enumerate_structures(Kind.BVPD, 1, frozenset()))
-        assert len(out) == 1
-        assert out[0].cols == 0
+        (d,) = members(Kind.BVPD, Perm.identity(1))
+        assert d.cols == 0
+        assert list(unpruned_fill(Kind.BVPD, 1, frozenset())) == [d]
 
     def test_structures_are_valid(self):
-        for d in enumerate_structures(Kind.MVPD, 4, frozenset({1, 2})):
+        for _, ds in species_members(4):
+            for d in ds:
+                assert not validate(d)
+        for d in unpruned_fill(Kind.MVPD, 4, frozenset({1, 2})):
             assert not validate(d)
 
     def test_pd_fillings_match_the_index(self):
-        # Every cross/bump filling of the staircase once: the index's pipe
-        # dreams, and every subset of the staircase made crosses.
+        # The pipe dreams of all of S_n are every subset of the staircase
+        # made crosses, each once.
         for n in range(1, 6):
-            ds = list(enumerate_structures(Kind.PD, n, range(1, n + 1)))
+            ds = [d for w in symmetric_group(n) for d in pd_set(w)]
             assert len(ds) == len(set(ds)) == 2 ** (n * (n - 1) // 2)
-            indexed = {d for group in enumerate_all(n).by_perm.values() for d in group}
-            assert set(ds) == indexed
             staircase = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
             subsets = (
                 frozenset(c) for k in range(len(staircase) + 1) for c in combinations(staircase, k)
@@ -379,3 +383,26 @@ class TestEnumerateStructures:
         assert allowed_tiles(Kind.PD, 3, 1, 3) == (Tile.ELBOW_WN,)
         assert allowed_tiles(Kind.MVPD, 3, 3, 3) == (Tile.BLANK,)
         assert Tile.MARKED_SE not in allowed_tiles(Kind.BVPD, 4, 1, 1)
+
+
+class TestPrunedFill:
+    """``members`` against the unpruned fill plus ``trace``, its definition."""
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_permutation_matches_the_oracle(self, kind, n):
+        # Bumpless diagrams exist only for inverse fireworks permutations.
+        ws = [w for w in symmetric_group(n) if kind is not Kind.BVPD or w.is_inverse_fireworks()]
+        for w, want in oracle_members(kind, ws).items():
+            assert members(kind, w) == want, w
+
+    def test_traces_nothing(self, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("members traced a filling")
+
+        monkeypatch.setattr(diagrams, "trace", no_trace)
+        for w in symmetric_group(4):
+            for kind in Kind:
+                if kind is not Kind.BVPD or w.is_inverse_fireworks():
+                    assert members(kind, w)
+        assert len(members(Kind.MVPD, Perm.from_one_line([7, 6, 5, 4, 3, 2, 1]))) == 1

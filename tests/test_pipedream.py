@@ -3,6 +3,7 @@ import pytest
 from pipedreams.diagrams import Tile, trace, weighty_cells
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import (
+    MAX_N,
     double_grothendieck,
     enumerate_all,
     grothendieck,
@@ -38,11 +39,8 @@ CROSS_SETS_2413 = [
 
 class TestEnumeration:
     def test_n2(self):
-        idx = enumerate_all(2)
-        assert idx.pds(Perm.identity(2)) == (pd_from_crosses(2, frozenset()),)
-        assert idx.pds(Perm.from_one_line([2, 1])) == (
-            pd_from_crosses(2, frozenset({(1, 1)})),
-        )
+        assert pd_set(Perm.identity(2)) == (pd_from_crosses(2, frozenset()),)
+        assert pd_set(Perm.from_one_line([2, 1])) == (pd_from_crosses(2, frozenset({(1, 1)})),)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_filling_count(self, n):
@@ -60,33 +58,26 @@ class TestEnumeration:
         (d,) = pd_set(w0)
         assert all(t is Tile.CROSS for i, j, t in d.cells() if i + j <= 4)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumerate_all_is_pd_set_per_w(self, n):
+        # The contract the benchmark's set-ups read.
+        assert enumerate_all(n).by_perm == {w: pd_set(w) for w in symmetric_group(n)}
+
     def test_bound(self):
-        with pytest.raises(ValueError):
-            enumerate_all(8)
+        for letters in ([1, 2, 3, 4, 5, 7, 6], [2, 1, 3, 4, 5, 6, 7, 8]):
+            with pytest.raises(ValueError, match=f"bound {MAX_N}"):
+                pd_set(Perm.from_one_line(letters))
 
     def test_seven_is_refused_before_any_work(self, monkeypatch):
-        # 2^21 fillings would take minutes and gigabytes: the guard refuses
-        # n = 7 without tracing a single one.
+        # n = 7 is refused before a single cell is filled.
         import pipedreams.pipedream as pd_mod
 
-        def no_trace(*args, **kwargs):
-            raise AssertionError("enumerate_all(7) started building")
+        def no_fill(*args, **kwargs):
+            raise AssertionError("pd_set started filling")
 
-        monkeypatch.setattr(pd_mod, "_INDEX_CACHE", {})
-        monkeypatch.setattr(pd_mod, "trace", no_trace)
-        with pytest.raises(ValueError, match="outside the configured bound"):
-            enumerate_all(7)
-        assert pd_mod._INDEX_CACHE == {}
-
-    def test_built_index_is_served_above_the_bound(self, monkeypatch):
-        import pipedreams.pipedream as pd_mod
-
-        built = enumerate_all(3, max_n=3)
-        monkeypatch.setattr(pd_mod, "_INDEX_CACHE", {3: built})
-        monkeypatch.setattr(pd_mod, "DEFAULT_MAX_N", 2)
-        assert enumerate_all(3) is built
-        with pytest.raises(ValueError):
-            enumerate_all(4)
+        monkeypatch.setattr(pd_mod, "members", no_fill)
+        with pytest.raises(ValueError, match="above the pipe-dream bound"):
+            pd_set(Perm.from_one_line([1, 2, 3, 4, 5, 7, 6]))
 
     def test_membership_is_by_inverse_reading(self):
         for d in pd_set(W2413):
