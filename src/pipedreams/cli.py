@@ -61,7 +61,7 @@ def _read_diagram(path: str, kinds: Sequence[Kind]) -> Diagram:
     if text.lstrip().startswith("{"):
         try:
             return Diagram.from_json(json.loads(text))
-        except (json.JSONDecodeError, KeyError, ValueError, DiagramError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, ValueError, DiagramError) as exc:
             raise UsageError(f"{path}: {exc}") from None
     n = text.count("\n") + 1
     problems = []

@@ -427,37 +427,69 @@ def weight(d: Diagram) -> Monomial:
     return Monomial.from_rows(d.n, (i for i, _ in weighty_cells(d)))
 
 
-def _bump(e: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return e[:k] + (e[k] + 1,) + e[k + 1 :]
-
-
 def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -> Poly:
     """Sum of (-1)^(k - inversions(w)) times the weight of each diagram, where
     k counts its weighty tiles.  The double weight is the product of
     x_i + y_j - x_i*y_j over the weighty cells (i, j).
 
-    This is the one place a weight is expanded.  Terms are keyed by flat
-    exponent tuples (the x block, then the y block) until the end."""
+    This is the one place a weight is expanded.  A single weight is one
+    monomial per diagram.  Double weights are expanded by Horner's rule
+    across diagrams, so a prefix of weighty cells that diagrams share is
+    expanded once.  Raises ``ValueError`` for a diagram of another size."""
     n = w.n
     ell = w.inversions()
-    acc: dict[tuple[int, ...], int] = {}
+    # Signs summed per key: the exponent tuple (the x block, then the y
+    # block) of a single weight, or the column-major weighty cells of a
+    # double one.
+    groups: dict[tuple, int] = {}
     for d in ds:
+        if d.n != n:
+            raise ValueError(f"a diagram of size {d.n} in the weight sum of a size-{n} w")
         cells = weighty_cells(d)
         sign = -1 if (len(cells) - ell) % 2 else 1
         if double:
-            terms = {(0,) * (2 * n): sign}
-            for i, j in cells:
-                grown: dict[tuple[int, ...], int] = {}
-                for e, c in terms.items():
-                    ex = _bump(e, i - 1)
-                    for f, v in ((ex, c), (_bump(e, n + j - 1), c), (_bump(ex, n + j - 1), -c)):
-                        grown[f] = grown.get(f, 0) + v
-                terms = grown
+            key = tuple(sorted((j, i) for i, j in cells))
         else:
             e = [0] * (2 * n)
             for i, _ in cells:
                 e[i - 1] += 1
-            terms = {tuple(e): sign}
-        for e, c in terms.items():
-            acc[e] = acc.get(e, 0) + c
-    return Poly(n, {Monomial(e[:n], e[n:]): c for e, c in acc.items()})
+            key = tuple(e)
+        groups[key] = groups.get(key, 0) + sign
+    if not double:
+        return Poly(n, {Monomial(e[:n], e[n:]): c for e, c in groups.items()})
+
+    # A term is one int with a field of `width` bits per variable, x_1..x_n
+    # then y_1..y_n.  An exponent counts the weighty cells of one row or one
+    # column, so it is at most n < 2**width and never spills.  Each group's
+    # expansion waits under its last cell; taking cells in decreasing order,
+    # a group is multiplied by its last cell's factor and merged into the
+    # group of its prefix, whose last cell comes later.
+    width = n.bit_length()
+    by_last: dict[tuple[int, int] | None, dict[tuple, dict[int, int]]] = {}
+    for cells, sign in groups.items():
+        if sign:
+            by_last.setdefault(cells[-1] if cells else None, {})[cells] = {0: sign}
+    for j in range(n, 0, -1):
+        for i in range(n, 0, -1):
+            xb = 1 << width * (i - 1)
+            yb = 1 << width * (n + j - 1)
+            xyb = xb + yb
+            for cells, terms in by_last.pop((j, i), {}).items():
+                prefix = cells[:-1]
+                last = prefix[-1] if prefix else None
+                into = by_last.setdefault(last, {}).setdefault(prefix, {})
+                get = into.get
+                for e, c in terms.items():
+                    if c:
+                        into[e + xb] = get(e + xb, 0) + c
+                        into[e + yb] = get(e + yb, 0) + c
+                        into[e + xyb] = get(e + xyb, 0) - c
+    acc = by_last.get(None, {}).get((), {})
+
+    field = (1 << width) - 1
+    half = width * n
+    xmask = (1 << half) - 1
+    kept = {e: c for e, c in acc.items() if c}
+    halves = {e & xmask for e in kept} | {e >> half for e in kept}
+    exps = {h: tuple(h >> width * k & field for k in range(n)) for h in halves}
+    return Poly(n, {Monomial(exps[e & xmask], exps[e >> half]): c for e, c in kept.items()})

@@ -7,13 +7,14 @@ all outputs are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vectors for the x and y variable blocks (equal length)."""
+class Monomial(NamedTuple):
+    """Exponent vectors for the x and y variable blocks (equal length).
+
+    A tuple, so that hashing and equality run in C: ``Monomial(x, y) ==
+    (x, y)``.  ``*`` multiplies monomials; it does not repeat the tuple."""
 
     x: tuple[int, ...]
     y: tuple[int, ...]

@@ -300,6 +300,19 @@ class TestRender:
             assert out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["render"], ["map", "--which", "phi", "--w", "2,1"], ["construct-up", "--w", "2,1"]],
+        ids=["render", "map", "construct-up"],
+    )
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path, argv):
+        src = tmp_path / "deep.json"
+        src.write_text('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, *argv, "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {src}: ")
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "render", "--in", str(tmp_path / "absent.json"))
         assert code == 2

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pipedreams.diagrams import signed_weight_sum
-from pipedreams.permutations import Perm
-from pipedreams.pipedream import pd_from_crosses
+from pipedreams.diagrams import Diagram, Kind, Tile, signed_weight_sum
+from pipedreams.mvpd import mvpd_set
+from pipedreams.permutations import Perm, symmetric_group
+from pipedreams.pipedream import double_grothendieck, pd_from_crosses, pd_set
 from pipedreams.polynomials import Monomial, Poly
+
+from weight_oracle import expand_each
 
 
 def mono(n, **exps) -> Monomial:
@@ -49,6 +52,22 @@ class TestMonomial:
 
     def test_degree(self):
         assert mono(2, x1=2, y2=1).degree == 3
+
+    def test_fields_are_read_only(self):
+        m = mono(2, x1=1)
+        with pytest.raises(AttributeError):
+            m.x = (2, 0)
+
+    def test_equal_monomials_hash_equal(self):
+        a = mono(3, x1=1, y2=2)
+        b = Monomial(tuple([1, 0, 0]), tuple([0, 2, 0]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_star_multiplies_and_does_not_repeat(self):
+        a = mono(2, x1=1, y2=1)
+        assert a * a == mono(2, x1=2, y2=2)
+        assert len(a * a) == 2
 
 
 class TestArithmetic:
@@ -153,6 +172,84 @@ class TestText:
     def test_coefficients_and_y(self):
         p = Poly(1, {mono(1, x1=1): 2, mono(1, x1=1, y1=1): -1})
         assert p.text() == "2*x1 - x1*y1"
+
+
+class TestCanonicalOrder:
+    # The double polynomial of 132, as the dataclass Monomial printed it.
+    JSON_132 = (
+        '[{"c": 1, "x": [0, 1, 0], "y": [0, 0, 0]}, {"c": 1, "x": [1, 0, 0], "y": [0, 0, 0]}, '
+        '{"c": 1, "x": [0, 0, 0], "y": [0, 1, 0]}, {"c": 1, "x": [0, 0, 0], "y": [1, 0, 0]}, '
+        '{"c": -1, "x": [1, 1, 0], "y": [0, 0, 0]}, {"c": -1, "x": [0, 1, 0], "y": [0, 1, 0]}, '
+        '{"c": -1, "x": [1, 0, 0], "y": [0, 1, 0]}, {"c": -1, "x": [0, 1, 0], "y": [1, 0, 0]}, '
+        '{"c": -1, "x": [1, 0, 0], "y": [1, 0, 0]}, {"c": -1, "x": [0, 0, 0], "y": [1, 1, 0]}, '
+        '{"c": 1, "x": [1, 1, 0], "y": [0, 1, 0]}, {"c": 1, "x": [1, 1, 0], "y": [1, 0, 0]}, '
+        '{"c": 1, "x": [0, 1, 0], "y": [1, 1, 0]}, {"c": 1, "x": [1, 0, 0], "y": [1, 1, 0]}, '
+        '{"c": -1, "x": [1, 1, 0], "y": [1, 1, 0]}]'
+    )
+
+    def test_to_json_bytes_are_unchanged(self):
+        p = double_grothendieck(Perm.from_one_line([1, 3, 2]))
+        assert json.dumps(p.to_json()) == self.JSON_132
+
+    def test_sorted_items_order_is_unchanged(self):
+        p = double_grothendieck(Perm.from_one_line([1, 3, 2]))
+        want = [
+            (Monomial(tuple(t["x"]), tuple(t["y"])), t["c"]) for t in json.loads(self.JSON_132)
+        ]
+        assert p.sorted_items() == want
+
+
+def crosses_only_at(n: int, cells) -> Diagram:
+    """An n x n grid with crosses at ``cells`` and blanks elsewhere."""
+    return Diagram(
+        Kind.PD,
+        n,
+        tuple(
+            tuple(Tile.CROSS if (i, j) in cells else Tile.BLANK for j in range(1, n + 1))
+            for i in range(1, n + 1)
+        ),
+    )
+
+
+class TestSignedWeightSum:
+    """The shared-prefix expansion against the per-diagram oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("fill", [pd_set, mvpd_set], ids=["pd", "mvpd"])
+    def test_every_permutation_matches_the_oracle(self, n, fill):
+        for w in symmetric_group(n):
+            ds = fill(w)
+            for double in (False, True):
+                want = expand_each(w, ds, double=double)
+                assert signed_weight_sum(w, ds, double=double) == want, (w, double)
+
+    def test_sampled_s6_matches_the_oracle(self):
+        # Every 7th w of S_6 of length at most 4: the oracle takes ~90 s on
+        # the whole every-7th sample, ~1 s on this part of it.
+        for w in list(symmetric_group(6))[::7]:
+            if w.inversions() <= 4:
+                ds = pd_set(w)
+                assert signed_weight_sum(w, ds, double=True) == expand_each(w, ds, double=True)
+
+    @pytest.mark.parametrize("n", [3, 7, 8])
+    def test_exponent_n_fills_its_field(self, n):
+        # A full first row raises x_1 to n, a full first column y_1; at n = 7
+        # that fills a 3-bit field, and at n = 8 the field grows to 4 bits.
+        row = {(1, j) for j in range(1, n + 1)}
+        column = {(i, 1) for i in range(1, n + 1)}
+        ds = [crosses_only_at(n, cells) for cells in (row, column, row - {(1, n)})]
+        w = Perm.identity(n)
+        for double in (False, True):
+            p = signed_weight_sum(w, ds, double=double)
+            assert p == expand_each(w, ds, double=double)
+            assert max(m.x[0] for m in p.support()) == n
+        assert max(m.y[0] for m in p.support()) == n
+
+    @pytest.mark.parametrize("double", [False, True])
+    def test_a_diagram_of_another_size_is_refused(self, double):
+        d = pd_from_crosses(3, frozenset({(1, 2)}))
+        with pytest.raises(ValueError, match="size 3"):
+            signed_weight_sum(Perm.identity(2), [d], double=double)
 
 
 class TestJson:
