@@ -20,7 +20,7 @@ from .bvpd import (
     predicted_cross_cells,
     top_grothendieck_via_bvpd,
 )
-from .construct import check_support_divisibility, check_support_growth
+from .construct import certify_support_growth, check_support_divisibility, check_support_growth
 from .diagrams import sort_key, weight, weighty_cells
 from .mvpd import (
     double_grothendieck_via_mvpd,
@@ -159,11 +159,11 @@ def _support_divisibility(report: SweepReport, w: Perm) -> None:
 def _support_growth(report: SweepReport, w: Perm) -> None:
     """Direct support growth everywhere; constructed certificates on the
     inverse fireworks part."""
-    r = check_support_growth(w, "direct")
+    r = check_support_growth(w)
     if not r.ok:
         report.fail(f"w={w}: " + "; ".join(r.failures))
     if w.is_inverse_fireworks():
-        rc = check_support_growth(w, "constructive")
+        rc = certify_support_growth(w)
         if not rc.ok:
             report.fail(f"w={w} (constructive): " + "; ".join(rc.failures))
 

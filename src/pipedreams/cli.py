@@ -136,7 +136,11 @@ def _cmd_construct_up(args) -> int:
         print(d.render_text())
         replay = d
         for step in cert.steps:
-            replay = step.apply(replay, w)
+            try:
+                replay = step.apply(replay, w)
+            except DiagramError as exc:
+                print(f"error: a replayed step fails: {exc}", file=sys.stderr)
+                return 1
             print(f"after {step.op} at {step.cell}:")
             print(replay.render_text())
         if replay != cert.output:

@@ -6,7 +6,8 @@ the west-north elbow at its foot flattens to a horizontal, and the landing
 cell in column j+1 absorbs the turn.  Repeating the marked variant of this
 move, interleaved with single-tile upgrades, raises the weight of any
 non-maximal diagram of an inverse fireworks permutation by exactly one
-x variable.
+x variable.  Each move is a ``Step``, and ``Step.apply`` is the one place a
+move is written and checked.
 """
 
 from __future__ import annotations
@@ -14,22 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Diagram, DiagramError, Kind, Tile, is_member, trace, weight, weighty_cells
-from .mvpd import find_upgrade, is_top, mvpd_set
+from .mvpd import is_top, mvpd_set
 from .permutations import Perm
 from .pipedream import grothendieck, max_cross_count
 
 
-@dataclass(frozen=True)
-class DroopSite:
-    """A validated droop location: the turning cell and the elbow below it."""
-
-    i: int
-    j: int
-    i_prime: int
-
-
-def locate_droop_site(d: Diagram, i: int, j: int) -> DroopSite:
-    """Check the droop preconditions at (i, j) and find the foot row."""
+def locate_droop_site(d: Diagram, i: int, j: int) -> int:
+    """Check the droop preconditions at (i, j) and return the foot row."""
     if d.kind is not Kind.MVPD:
         raise ValueError(f"expected an MVPD, got {d.kind.value}")
     t = d.tile(i, j)
@@ -53,7 +45,7 @@ def locate_droop_site(d: Diagram, i: int, j: int) -> DroopSite:
             raise DiagramError(f"({r},{j + 1}): expected a horizontal beside the run")
     if d.tile(i_prime, j + 1) not in (Tile.BLANK, Tile.ELBOW_SE, Tile.MARKED_SE):
         raise DiagramError(f"({i_prime},{j + 1}): unexpected landing tile")
-    return DroopSite(i, j, i_prime)
+    return i_prime
 
 
 # The strand leaving (i, j) east is removed; whatever else the tile carried
@@ -72,31 +64,22 @@ _LANDING = {
 }
 
 
-def droop(d: Diagram, i: int, j: int, w: Perm) -> Diagram:
-    """Shift the vertical run below (i, j) one column right."""
-    site = locate_droop_site(d, i, j)
+def droop_prime(d: Diagram, i: int, j: int) -> dict[tuple[int, int], Tile]:
+    """The tiles a marked droop at (i, j) writes: the vertical run below
+    (i, j) shifts one column right, and the fresh elbow at (i, j + 1) is
+    marked (its pipe now owns the flattened foot horizontal, which sits in
+    a lower row).  ``Step.apply`` checks the result."""
+    foot = locate_droop_site(d, i, j)
     updates: dict[tuple[int, int], Tile] = {
         (i, j): _VACATED[d.tile(i, j)],
-        (i, j + 1): Tile.ELBOW_SE,
-        (site.i_prime, j): Tile.HORIZONTAL,
-        (site.i_prime, j + 1): _LANDING[d.tile(site.i_prime, j + 1)],
+        (i, j + 1): Tile.MARKED_SE,
+        (foot, j): Tile.HORIZONTAL,
+        (foot, j + 1): _LANDING[d.tile(foot, j + 1)],
     }
-    for r in range(i + 1, site.i_prime):
+    for r in range(i + 1, foot):
         updates[(r, j)] = Tile.HORIZONTAL
         updates[(r, j + 1)] = Tile.CROSS
-    out = d.with_tiles(updates)
-    if not is_member(out, w):
-        raise DiagramError(f"droop at ({i},{j}) left the diagram set of {w.letters}")
-    return out
-
-
-def droop_prime(d: Diagram, i: int, j: int, w: Perm) -> Diagram:
-    """Droop, then mark the fresh elbow (its pipe now owns the flattened
-    foot horizontal, which sits in a lower row)."""
-    out = droop(d, i, j, w).with_tiles({(i, j + 1): Tile.MARKED_SE})
-    if not is_member(out, w):
-        raise DiagramError(f"droop mark at ({i},{j + 1}) is invalid")
-    return out
+    return updates
 
 
 def find_pattern(d: Diagram, w: Perm) -> tuple[int, int]:
@@ -114,8 +97,11 @@ def find_pattern(d: Diagram, w: Perm) -> tuple[int, int]:
     )
 
 
-# The tile each single-tile step writes into its cell.
-_STEP_TILE = {"mark": Tile.MARKED_SE, "bump_to_cross": Tile.CROSS}
+# Each single-tile step: the tile it rewrites and the tile it writes.
+_UPGRADES = {
+    "mark": (Tile.ELBOW_SE, Tile.MARKED_SE),
+    "bump_to_cross": (Tile.BUMP, Tile.CROSS),
+}
 
 
 @dataclass(frozen=True)
@@ -124,13 +110,44 @@ class Step:
     cell: tuple[int, int]
 
     def apply(self, d: Diagram, w: Perm) -> Diagram:
-        """The diagram this step rewrites d into."""
+        """The diagram this step rewrites d into: the one place a step is
+        written and checked.  Raises ``DiagramError`` unless the result is
+        a diagram of w."""
+        i, j = self.cell
         if self.op == "droop_prime":
-            return droop_prime(d, *self.cell, w)
-        return d.with_tiles({self.cell: _STEP_TILE[self.op]})
+            updates = droop_prime(d, i, j)
+        else:
+            old, new = _UPGRADES[self.op]
+            if d.tile(i, j) is not old:
+                raise DiagramError(f"({i},{j}): {self.op} rewrites {old.value!r} tiles only")
+            updates = {self.cell: new}
+        out = d.with_tiles(updates)
+        if not is_member(out, w):
+            raise DiagramError(f"{self.op} at ({i},{j}) left the diagram set of {w.letters}")
+        return out
 
     def to_json(self) -> dict:
         return {"op": self.op, "cell": list(self.cell)}
+
+
+def find_upgrade(d: Diagram, w: Perm) -> tuple[Step, Diagram] | None:
+    """The first single-tile weight +1 step (row-major scan) that keeps the
+    diagram in w's set, with the diagram it makes: mark an elbow whose pipe
+    has a lower horizontal, or turn a bump whose pipes really cross
+    elsewhere into a cross."""
+    tr = trace(d)
+    for i, j, t in d.cells():
+        if t is Tile.ELBOW_SE and tr.markable(i, j):
+            step = Step("mark", (i, j))
+        elif t is Tile.BUMP and tr.pipe_at(i, j) in tr.crossed_pairs:
+            step = Step("bump_to_cross", (i, j))
+        else:
+            continue
+        try:
+            return step, step.apply(d, w)
+        except DiagramError:
+            continue
+    return None
 
 
 @dataclass(frozen=True)
@@ -174,23 +191,22 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
     while True:
         upgrade = find_upgrade(d, w)
         if upgrade is not None:
-            (i, j), tile = upgrade
-            step = Step("mark" if tile is Tile.MARKED_SE else "bump_to_cross", (i, j))
+            step, out = upgrade
             steps.append(step)
-            return _finish(w, start, steps, step.apply(d, w), gained_row=i)
+            return _finish(w, start, steps, out, gained_row=step.cell[0])
         i, j = find_pattern(d, w)
-        site = locate_droop_site(d, i, j)
+        foot_row = locate_droop_site(d, i, j)
         before = weighty_cells(d)
         step = Step("droop_prime", (i, j))
         nxt = step.apply(d, w)
         after = weighty_cells(nxt)
         steps.append(step)
-        foot = (site.i_prime, j)
-        landing = (site.i_prime, j + 1)
+        foot = (foot_row, j)
+        landing = (foot_row, j + 1)
         if len(after) == len(before) + 1:
             if after != before | {foot}:
                 raise DiagramError(f"droop ledger broken at ({i},{j})")
-            return _finish(w, start, steps, nxt, gained_row=site.i_prime)
+            return _finish(w, start, steps, nxt, gained_row=foot_row)
         if after != (before - {landing}) | {foot} or landing not in before:
             raise DiagramError(f"droop ledger broken at ({i},{j})")
         d = nxt
@@ -200,8 +216,8 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
 
 
 def _finish(w, start, steps, out, gained_row) -> Certificate:
-    if not is_member(out, w):
-        raise DiagramError("constructed diagram left the set")
+    """The certificate of a chain whose steps ``Step.apply`` has checked,
+    once its output's weight is the input's times x_{gained_row}."""
     want = weight(start).times_x(gained_row)
     got = weight(out)
     if want != got:
@@ -213,35 +229,35 @@ def _finish(w, start, steps, out, gained_row) -> Certificate:
 class ConjectureReport:
     """Outcome of a support check on one permutation."""
 
-    w: Perm
-    mode: str
     ok: bool
     checked: int
     failures: tuple[str, ...] = ()
     certificates: tuple[Certificate, ...] = ()
 
 
-def check_support_growth(w: Perm, mode: str = "direct") -> ConjectureReport:
+def check_support_growth(w: Perm) -> ConjectureReport:
     """Every non-maximal support monomial stays in the support after
-    multiplying by some x_i (checked directly, or via constructed
-    certificates for inverse fireworks input).  A diagram that the
-    constructor cannot raise is a failure, reported with the diagram."""
+    multiplying by some x_i."""
     supp = grothendieck(w).support()
     degree = max_cross_count(w)
-    if mode == "direct":
-        failures = []
-        checked = 0
-        for m in supp:
-            if m.degree >= degree:
-                continue
-            checked += 1
-            if not any(m.times_x(i) in supp for i in range(1, w.n + 1)):
-                failures.append(f"{m.text()} has no x_i growth in the support")
-        return ConjectureReport(w, mode, not failures, checked, tuple(failures))
-    if mode != "constructive":
-        raise ValueError(f"unknown mode {mode!r}")
+    failures = []
+    checked = 0
+    for m in supp:
+        if m.degree >= degree:
+            continue
+        checked += 1
+        if not any(m.times_x(i) in supp for i in range(1, w.n + 1)):
+            failures.append(f"{m.text()} has no x_i growth in the support")
+    return ConjectureReport(not failures, checked, tuple(failures))
+
+
+def certify_support_growth(w: Perm) -> ConjectureReport:
+    """Support growth for inverse fireworks w, through a constructed
+    certificate for every non-maximal marked diagram.  A diagram that the
+    constructor cannot raise is a failure, reported with the diagram."""
     if not w.is_inverse_fireworks():
-        raise ValueError("constructive mode needs an inverse fireworks permutation")
+        raise ValueError("constructed certificates need an inverse fireworks permutation")
+    supp = grothendieck(w).support()
     failures = []
     certs = []
     checked = 0
@@ -258,7 +274,7 @@ def check_support_growth(w: Perm, mode: str = "direct") -> ConjectureReport:
         raised = weight(cert.output)
         if raised not in supp:
             failures.append(f"certificate weight {raised.text()} missing from the support")
-    return ConjectureReport(w, mode, not failures, checked, tuple(failures), tuple(certs))
+    return ConjectureReport(not failures, checked, tuple(failures), tuple(certs))
 
 
 def check_support_divisibility(w: Perm) -> ConjectureReport:
@@ -273,4 +289,4 @@ def check_support_divisibility(w: Perm) -> ConjectureReport:
         checked += 1
         if not any(m != other and m.divides(other) for other in supp):
             failures.append(f"{m.text()} divides nothing else in the support")
-    return ConjectureReport(w, "divisibility", not failures, checked, tuple(failures))
+    return ConjectureReport(not failures, checked, tuple(failures))

@@ -7,10 +7,10 @@ Coordinates are one-based ``(row, column)`` with row 1 at the top, so a
 only north and east, and exit from the top edge.
 
 ``trace`` sweeps a diagram once and returns a ``TraceResult``: the code read
-off the top edge, the pairs of pipes that really cross, and, when asked to
-record, the labels of every cell (west in, south in, north out, east out)
-and the lowest horizontal of every pipe.  Cell questions (``pipe_at``, and
-``markable``, the one rule for where a mark may sit) are lookups in those.
+off the top edge, the pairs of pipes that really cross, the labels of every
+cell (west in, south in, north out, east out) and the lowest horizontal of
+every pipe.  Cell questions (``pipe_at``, and ``markable``, the one rule for
+where a mark may sit) are lookups in those.
 The tracer is also the one edge rule: it raises on the first pair of tiles
 whose edges disagree, and ``validate`` reports that.
 
@@ -203,11 +203,8 @@ CellLabels = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class TraceResult:
-    """Everything the tracer learns about a diagram in one pass.
-
-    ``cells`` and ``lowest_horizontal`` are filled only by
-    ``trace(d, record_paths=True)``; the cell queries read them.
-    """
+    """Everything the tracer learns about a diagram in one pass; the cell
+    queries read ``cells`` and ``lowest_horizontal``."""
 
     code: Code
     crossed_pairs: frozenset[frozenset[int]]
@@ -248,7 +245,7 @@ def _exits(t: Tile, w_in: int, s_in: int, crossed: set[frozenset[int]]) -> tuple
     return w_in, s_in  # a bump, a bouncing cross, or a blank (0, 0)
 
 
-def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
+def trace(d: Diagram) -> TraceResult:
     """Propagate pipe labels cell by cell, bottom-to-top, left-to-right,
     through ``_exits``."""
     rows, cols = d.rows, d.cols
@@ -269,11 +266,10 @@ def trace(d: Diagram, *, record_paths: bool = True) -> TraceResult:
                     raise DiagramError(f"({i},{j}): south connection leaves the grid")
                 raise DiagramError(f"({i},{j})-({i + 1},{j}): south/north edges disagree")
             n_out, e_out = _exits(t, w_in, s_in, crossed)
-            if record_paths:
-                cells[(i, j)] = (w_in, s_in, n_out, e_out)
-                if t is Tile.HORIZONTAL:
-                    # The sweep runs bottom-up, so the first horizontal met is the lowest.
-                    lowest.setdefault(w_in, i)
+            cells[(i, j)] = (w_in, s_in, n_out, e_out)
+            if t is Tile.HORIZONTAL:
+                # The sweep runs bottom-up, so the first horizontal met is the lowest.
+                lowest.setdefault(w_in, i)
             south[j] = n_out
             west = e_out
         if west:

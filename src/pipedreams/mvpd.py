@@ -18,7 +18,6 @@ from .diagrams import (
     Kind,
     Tile,
     code_of,
-    is_member,
     members,
     signed_weight_sum,
     sort_key,
@@ -128,25 +127,3 @@ def is_top(d: Diagram, w: Perm) -> bool:
 
 def top_mvpd_set(w: Perm) -> tuple[Diagram, ...]:
     return tuple(d for d in mvpd_set(w) if is_top(d, w))
-
-
-def find_upgrade(d: Diagram, w: Perm) -> tuple[tuple[int, int], Tile] | None:
-    """First single-tile weight +1 rewrite (row-major scan) that keeps the
-    diagram in w's set: mark an elbow whose pipe has a lower horizontal, or
-    turn a bump whose pipes really cross elsewhere into a cross."""
-    tr = trace(d)
-    for i, j, t in d.cells():
-        if t is Tile.ELBOW_SE:
-            if not tr.markable(i, j):
-                continue
-            candidate = Tile.MARKED_SE
-        elif t is Tile.BUMP:
-            if tr.pipe_at(i, j) not in tr.crossed_pairs:
-                continue
-            candidate = Tile.CROSS
-        else:
-            continue
-        upgraded = d.with_tiles({(i, j): candidate})
-        if is_member(upgraded, w):
-            return (i, j), candidate
-    return None

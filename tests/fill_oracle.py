@@ -70,5 +70,5 @@ def oracle_members(kind: Kind, ws: Iterable[Perm]) -> dict[Perm, tuple[Diagram, 
     groups: dict[Code, list[Diagram]] = {}
     for pipes in {c.pipes for c in codes.values()}:
         for d in unpruned_fill(kind, n, pipes):
-            groups.setdefault(trace(d, record_paths=False).code, []).append(d)
+            groups.setdefault(trace(d).code, []).append(d)
     return {w: tuple(sorted(groups.get(c, ()), key=sort_key)) for w, c in codes.items()}

@@ -15,7 +15,12 @@ from pipedreams.bvpd import (
     top_grothendieck_via_bvpd,
 )
 from pipedreams.checks import run_check
-from pipedreams.construct import check_support_divisibility, check_support_growth, construct_up
+from pipedreams.construct import (
+    certify_support_growth,
+    check_support_divisibility,
+    check_support_growth,
+    construct_up,
+)
 from pipedreams.diagrams import sort_key, weight, weighty_cells
 from pipedreams.mvpd import (
     enumerate_mvpd_direct,
@@ -196,11 +201,11 @@ def test_criterion_10_support_conjectures():
     t0 = time.perf_counter()
     ok = True
     for w in symmetric_group(4):
-        ok &= check_support_growth(w, "direct").ok
+        ok &= check_support_growth(w).ok
         ok &= check_support_divisibility(w).ok
     for w in inverse_fireworks(5):
-        ok &= check_support_growth(w, "direct").ok
-        report = check_support_growth(w, "constructive")
+        ok &= check_support_growth(w).ok
+        report = certify_support_growth(w)
         ok &= report.ok
         supp = grothendieck(w).support()
         ok &= all(

@@ -5,6 +5,7 @@ import pytest
 
 from pipedreams import cli, construct, diagrams, pipedream
 from pipedreams.checks import CHECKS
+from pipedreams.construct import Step
 from pipedreams.cli import main
 from pipedreams.diagrams import DiagramError
 from pipedreams.mvpd import enumerate_mvpd_direct, mvpd_set
@@ -168,6 +169,23 @@ class TestConstructUp:
         )
         assert code == 1
         assert err.startswith("error: ")
+
+    def test_trace_fails_a_step_that_leaves_the_set(self, capsys, tmp_path, monkeypatch):
+        real = cli.construct_up
+
+        def forged_step(d, w):
+            # Crossing the bump at (1, 2) changes the code of w.
+            return dataclasses.replace(real(d, w), steps=(Step("bump_to_cross", (1, 2)),))
+
+        monkeypatch.setattr(cli, "construct_up", forged_step)
+        src = tmp_path / "m.txt"
+        src.write_text("-b-J\n-J..\n....\n....")
+        code, _, err = run(
+            capsys, "construct-up", "--w", "2,4,1,3", "--in", str(src), "--trace"
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "left the diagram set" in err
+        assert "Traceback" not in err
 
     def test_top_input_rejected(self, capsys, tmp_path):
         src = tmp_path / "m.txt"

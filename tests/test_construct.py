@@ -1,13 +1,16 @@
 import pytest
 
+from pipedreams import construct
 from pipedreams.construct import (
     Certificate,
+    Step,
+    certify_support_growth,
     check_support_divisibility,
     check_support_growth,
     construct_up,
-    droop,
     droop_prime,
     find_pattern,
+    find_upgrade,
     locate_droop_site,
 )
 from pipedreams.bvpd import enumerate_bvpd
@@ -21,7 +24,7 @@ from pipedreams.diagrams import (
     weight,
     weighty_cells,
 )
-from pipedreams.mvpd import find_upgrade, is_top, mvpd_set
+from pipedreams.mvpd import is_top, mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import grothendieck, pd_set
 
@@ -42,6 +45,7 @@ def row_weight(w, d):
 
 
 def droop_sites(d, w):
+    """Every (i, j, foot row) where a droop's preconditions hold."""
     tr = trace(d)
     for i in range(1, d.rows + 1):
         for j in range(1, d.cols):
@@ -53,24 +57,27 @@ def droop_sites(d, w):
             if not strand:
                 continue
             try:
-                yield locate_droop_site(d, i, j)
+                yield i, j, locate_droop_site(d, i, j)
             except DiagramError:
                 continue
+
+
+def drooped(d, i, j, w):
+    return Step("droop_prime", (i, j)).apply(d, w)
 
 
 class TestDroop:
     def test_minimal_site(self):
         # Bump with the elbow directly below: four cells rewritten.
         m = mvpd(4, "-b-J\n-J..\n....\n....")
-        site = locate_droop_site(m, 1, 2)
-        assert (site.i, site.j, site.i_prime) == (1, 2, 2)
-        out = droop(m, 1, 2, W2413)
-        assert out.render_text() == "-JrJ\n--J.\n....\n...."
+        assert locate_droop_site(m, 1, 2) == 2
+        out = drooped(m, 1, 2, W2413)
+        assert out.render_text() == "-JRJ\n--J.\n....\n...."
 
     def test_droop_prime_marks(self):
         m = mvpd(4, "-b-J\n-J..\n....\n....")
-        out = droop_prime(m, 1, 2, W2413)
-        assert out.tile(1, 3) is Tile.MARKED_SE
+        assert droop_prime(m, 1, 2)[(1, 3)] is Tile.MARKED_SE
+        assert drooped(m, 1, 2, W2413).tile(1, 3) is Tile.MARKED_SE
 
     def test_site_preconditions(self):
         m = mvpd(4, "-JrJ\n--J.\n....\n....")
@@ -83,27 +90,54 @@ class TestDroop:
     def test_sweep_preserves_the_code(self, n):
         for w in symmetric_group(n):
             for m in mvpd_set(w):
-                for site in droop_sites(m, w):
-                    # droop() revalidates membership internally.
-                    droop(m, site.i, site.j, w)
-                    droop_prime(m, site.i, site.j, w)
+                for i, j, _ in droop_sites(m, w):
+                    # Step.apply raises unless the drooped diagram is in w's set.
+                    drooped(m, i, j, w)
 
     def test_ledger_at_pattern_sites(self):
         # At bump/elbow sites the foot row is gained and the landing cell
         # is lost exactly when it was weighty.
         for w in symmetric_group(4):
             for m in mvpd_set(w):
-                for site in droop_sites(m, w):
-                    if m.tile(site.i, site.j) not in (Tile.BUMP, Tile.ELBOW_SE):
+                for i, j, foot_row in droop_sites(m, w):
+                    if m.tile(i, j) not in (Tile.BUMP, Tile.ELBOW_SE):
                         continue
                     before = weighty_cells(m)
-                    after = weighty_cells(droop_prime(m, site.i, site.j, w))
-                    foot = (site.i_prime, site.j)
-                    landing = (site.i_prime, site.j + 1)
+                    after = weighty_cells(drooped(m, i, j, w))
+                    foot = (foot_row, j)
+                    landing = (foot_row, j + 1)
                     if landing in before:
                         assert after == (before - {landing}) | {foot}
                     else:
                         assert after == before | {foot}
+
+
+class TestStep:
+    def test_mark_off_a_markable_elbow_raises(self):
+        m = mvpd(4, "-b-J\n-J..\n....\n....")
+        for cell in [(1, 1), (1, 2), (2, 2)]:  # a horizontal, a bump, a west-north elbow
+            with pytest.raises(DiagramError):
+                Step("mark", cell).apply(m, W2413)
+        unmarkable = 0
+        for w in symmetric_group(4):
+            for m in mvpd_set(w):
+                tr = trace(m)
+                for i, j, t in m.cells():
+                    if t is Tile.ELBOW_SE and not tr.markable(i, j):
+                        unmarkable += 1
+                        with pytest.raises(DiagramError):
+                            Step("mark", (i, j)).apply(m, w)
+                    if t is Tile.MARKED_SE:  # already marked: not an elbow to mark
+                        with pytest.raises(DiagramError):
+                            Step("mark", (i, j)).apply(m, w)
+        assert unmarkable
+
+    def test_bump_to_cross_leaving_the_set_raises(self):
+        # The bump's pipes cross nowhere else, so a cross there changes the code.
+        m = mvpd(4, "-b-J\n-J..\n....\n....")
+        assert trace(m).pipe_at(1, 2) not in trace(m).crossed_pairs
+        with pytest.raises(DiagramError, match="left the diagram set"):
+            Step("bump_to_cross", (1, 2)).apply(m, W2413)
 
 
 class TestFindPattern:
@@ -148,7 +182,7 @@ class TestConstructUp:
         assert cert.gained_row == 3
         assert row_weight(w, cert.output) == row_weight(w, m).times_x(3)
         # The intermediate diagram keeps the weight and stays saturated.
-        mid = droop_prime(m, 1, 1, w)
+        mid = drooped(m, 1, 1, w)
         assert row_weight(w, mid) == row_weight(w, m)
         assert find_upgrade(mid, w) is None
 
@@ -193,6 +227,25 @@ class TestConstructUp:
                 )
                 assert row_weight(w, cert.output) in supp
 
+    def test_checks_each_diagram_once(self, monkeypatch):
+        checked = []
+
+        def recording_is_member(d, w):
+            checked.append(d)
+            return is_member(d, w)
+
+        monkeypatch.setattr(construct, "is_member", recording_is_member)
+        inputs = [(W14253_INV, mvpd(5, EX59_TEXT))]
+        for w in symmetric_group(4):
+            if w.is_inverse_fireworks():
+                inputs.extend((w, m) for m in mvpd_set(w) if not is_top(m, w))
+        assert len(inputs) > 1
+        for w, m in inputs:
+            checked.clear()
+            cert = construct_up(m, w)
+            assert cert.input in checked and cert.output in checked
+            assert len(checked) == len(set(checked)), m.render_text()
+
     def test_certificate_json(self):
         m = mvpd(5, EX59_TEXT)
         cert = construct_up(m, W14253_INV)
@@ -208,11 +261,11 @@ class TestConstructUp:
 
 class TestConjectures:
     def test_direct_2413(self):
-        r = check_support_growth(W2413, "direct")
+        r = check_support_growth(W2413)
         assert r.ok and r.checked == 2
 
     def test_identity_is_vacuous(self):
-        r = check_support_growth(Perm.identity(3), "direct")
+        r = check_support_growth(Perm.identity(3))
         assert r.ok and r.checked == 0
         r2 = check_support_divisibility(Perm.identity(3))
         assert r2.ok and r2.checked == 0
@@ -223,14 +276,14 @@ class TestConjectures:
 
     def test_s4_direct_sweep(self):
         for w in symmetric_group(4):
-            assert check_support_growth(w, "direct").ok
+            assert check_support_growth(w).ok
             assert check_support_divisibility(w).ok
 
     def test_constructive_matches_direct(self):
         for w in symmetric_group(4):
             if not w.is_inverse_fireworks():
                 continue
-            r = check_support_growth(w, "constructive")
+            r = certify_support_growth(w)
             assert r.ok
             supp = grothendieck(w).support()
             for cert in r.certificates:
@@ -238,4 +291,4 @@ class TestConjectures:
 
     def test_constructive_needs_inverse_fireworks(self):
         with pytest.raises(ValueError):
-            check_support_growth(Perm.from_one_line([3, 1, 4, 2]), "constructive")
+            certify_support_growth(Perm.from_one_line([3, 1, 4, 2]))

@@ -267,14 +267,15 @@ class TestTrace:
 
     def test_code(self):
         d = parse(Kind.BVPD, 4, "JrJ\n-J.\n...\n...")
-        assert trace(d, record_paths=False).code.entries == (1, 0, 2)
+        assert trace(d).code.entries == (1, 0, 2)
         empty = Diagram(Kind.MVPD, 3, ((Tile.BLANK,) * 3,) * 3)
-        assert trace(empty, record_paths=False).code.entries == (0, 0, 0)
+        assert trace(empty).code.entries == (0, 0, 0)
 
-    def test_label_only_trace_records_no_cells(self):
-        tr = trace(parse(Kind.PD, 5, EX_24513), record_paths=False)
-        assert not tr.cells and not tr.lowest_horizontal
-        assert tr.crossed_pairs == trace(parse(Kind.PD, 5, EX_24513)).crossed_pairs
+    def test_trace_records_every_cell(self):
+        d = parse(Kind.PD, 5, EX_24513)
+        tr = trace(d)
+        assert set(tr.cells) == {(i, j) for i, j, _ in d.cells()}
+        assert set(tr.lowest_horizontal) <= set(d.entering_rows)
 
     def test_real_crossing_pairs_unique(self):
         for w in symmetric_group(4):

@@ -1,5 +1,6 @@
 import pytest
 
+from pipedreams.construct import Step, find_upgrade
 from pipedreams.diagrams import (
     Diagram,
     DiagramError,
@@ -13,7 +14,6 @@ from pipedreams.diagrams import (
 )
 from pipedreams.mvpd import (
     enumerate_mvpd_direct,
-    find_upgrade,
     grothendieck_via_mvpd,
     double_grothendieck_via_mvpd,
     is_top,
@@ -151,7 +151,7 @@ class TestCensus:
         ds = members(Kind.MVPD, w)
         assert len(ds) == 803
         for d in ds:
-            assert trace(d, record_paths=False).code == code
+            assert trace(d).code == code
             assert tile_census_identity(d, w)
             assert pd_to_mvpd(mvpd_to_pd(d, w), w) == d
 
@@ -209,8 +209,8 @@ class TestSaturation:
 
     def test_markable_elbow_upgrade(self):
         m = parse_mvpd(4, "-JrJ\n--J.\n....\n....")
-        cell, tile = find_upgrade(m, W2413)
-        assert cell == (1, 3) and tile is Tile.MARKED_SE
+        step, out = find_upgrade(m, W2413)
+        assert step == Step("mark", (1, 3)) and out.tile(1, 3) is Tile.MARKED_SE
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_upgrade_gains_one_weighty_tile_in_its_row(self, n):
@@ -219,10 +219,10 @@ class TestSaturation:
                 up = find_upgrade(m, w)
                 if up is None:
                     continue
-                (i, j), tile = up
-                m2 = m.with_tiles({(i, j): tile})
+                step, m2 = up
+                assert m2 == step.apply(m, w)
                 assert is_member(m2, w)
-                assert weighty_cells(m2) == weighty_cells(m) | {(i, j)}
+                assert weighty_cells(m2) == weighty_cells(m) | {step.cell}
 
     def test_markable_matches_a_scan_of_the_pipe(self):
         # An elbow is markable iff its pipe passes a horizontal in a lower row.
