@@ -20,12 +20,13 @@ from .bvpd import (
     predicted_cross_cells,
     top_grothendieck_via_bvpd,
 )
-from .construct import certify_support_growth, check_support_divisibility, check_support_growth
-from .diagrams import sort_key, weight, weighty_cells
+from .construct import construct_up
+from .diagrams import DiagramError, sort_key, weight, weighty_cells
 from .mvpd import (
     double_grothendieck_via_mvpd,
     enumerate_mvpd_direct,
     grothendieck_via_mvpd,
+    is_top,
     mvpd_set,
     mvpd_to_pd,
     pd_to_mvpd,
@@ -41,6 +42,7 @@ from .pipedream import (
     top_grothendieck,
     top_pd_set,
 )
+from .polynomials import Monomial
 
 
 @dataclass
@@ -79,16 +81,15 @@ def _removal_bijection(report: SweepReport, w: Perm) -> None:
     """The pipe-removal map is a weight-preserving bijection onto the
     directly enumerated marked set, with exact round trips."""
     pds = pd_set(w)
-    ms = mvpd_set(w)
+    ms = [pd_to_mvpd(p, w) for p in pds]
     if len(set(ms)) != len(pds):
         report.fail(f"w={w}: image size {len(set(ms))} != {len(pds)}")
-    for p in pds:
-        m = pd_to_mvpd(p, w)
+    for p, m in zip(pds, ms):
         if weighty_cells(p) != weighty_cells(m):
             report.fail(f"w={w}: weighty cells moved\n{p.render_text()}")
         if mvpd_to_pd(m, w) != p:
             report.fail(f"w={w}: round trip broke\n{p.render_text()}")
-    if ms != enumerate_mvpd_direct(w):
+    if tuple(sorted(ms, key=sort_key)) != enumerate_mvpd_direct(w):
         report.fail(f"w={w}: image differs from direct enumeration")
 
 
@@ -102,12 +103,10 @@ def _top_pd_bijection(report: SweepReport, w: Perm) -> None:
     """The composite map carries the bumpless set onto the maximal-cross
     pipe dreams and its crosses sit where the east exits predict."""
     bs = enumerate_bvpd(w)
-    image = sorted((bvpd_to_pd(b, w) for b in bs), key=sort_key)
-    tops = sorted(top_pd_set(w), key=sort_key)
-    if image != tops:
+    ps = [bvpd_to_pd(b, w) for b in bs]
+    if sorted(ps, key=sort_key) != sorted(top_pd_set(w), key=sort_key):
         report.fail(f"w={w}: image is not the maximal-cross set")
-    for b in bs:
-        p = bvpd_to_pd(b, w)
+    for b, p in zip(bs, ps):
         if weighty_cells(p) != predicted_cross_cells(b):
             report.fail(f"w={w}: cross positions mispredicted\n{b.render_text()}")
         if pd_to_bvpd(p, w) != b:
@@ -118,12 +117,10 @@ def _mvpd_bvpd_bijection(report: SweepReport, w: Perm) -> None:
     """Column deletion is a weight-preserving bijection between the
     maximal-weight marked set and the bumpless set."""
     tops = top_mvpd_set(w)
-    bs = enumerate_bvpd(w)
-    image = sorted((mvpd_to_bvpd(m, w) for m in tops), key=sort_key)
-    if image != sorted(bs, key=sort_key):
+    bs = [mvpd_to_bvpd(m, w) for m in tops]
+    if sorted(bs, key=sort_key) != sorted(enumerate_bvpd(w), key=sort_key):
         report.fail(f"w={w}: column deletion misses the bumpless set")
-    for m in tops:
-        b = mvpd_to_bvpd(m, w)
+    for m, b in zip(tops, bs):
         if weight(m) != weight(b):
             report.fail(f"w={w}: weight changed\n{m.render_text()}")
         if bvpd_to_mvpd(b, w) != m:
@@ -150,22 +147,55 @@ def _degree_inverse_symmetric(report: SweepReport, w: Perm) -> None:
         report.fail(f"w={w}: degree changes under inversion")
 
 
+def _non_maximal_support(w: Perm) -> tuple[frozenset[Monomial], list[Monomial]]:
+    """The support of w's Grothendieck polynomial, and its monomials below
+    the top degree in the support's own order."""
+    supp = grothendieck(w).support()
+    degree = max_cross_count(w)
+    return supp, [m for m in supp if m.degree < degree]
+
+
 def _support_divisibility(report: SweepReport, w: Perm) -> None:
-    r = check_support_divisibility(w)
-    if not r.ok:
-        report.fail(f"w={w}: " + "; ".join(r.failures))
+    """Every non-maximal support monomial divides a different support monomial."""
+    supp, low = _non_maximal_support(w)
+    failures = [
+        f"{m.text()} divides nothing else in the support"
+        for m in low
+        if not any(m != other and m.divides(other) for other in supp)
+    ]
+    if failures:
+        report.fail(f"w={w}: " + "; ".join(failures))
 
 
 def _support_growth(report: SweepReport, w: Perm) -> None:
-    """Direct support growth everywhere; constructed certificates on the
-    inverse fireworks part."""
-    r = check_support_growth(w)
-    if not r.ok:
-        report.fail(f"w={w}: " + "; ".join(r.failures))
-    if w.is_inverse_fireworks():
-        rc = certify_support_growth(w)
-        if not rc.ok:
-            report.fail(f"w={w} (constructive): " + "; ".join(rc.failures))
+    """Every non-maximal support monomial stays in the support after
+    multiplying by some x_i.  On the inverse fireworks part, every
+    non-maximal marked diagram must also be raised by a constructed
+    certificate whose weight is in the support."""
+    supp, low = _non_maximal_support(w)
+    failures = [
+        f"{m.text()} has no x_i growth in the support"
+        for m in low
+        if not any(m.times_x(i) in supp for i in range(1, w.n + 1))
+    ]
+    if failures:
+        report.fail(f"w={w}: " + "; ".join(failures))
+    if not w.is_inverse_fireworks():
+        return
+    failures = []
+    for d in mvpd_set(w):
+        if is_top(d, w):
+            continue
+        try:
+            cert = construct_up(d, w)
+        except DiagramError as exc:
+            failures.append(f"no certificate for\n{d.render_text()}\n{exc}")
+            continue
+        raised = weight(cert.output)
+        if raised not in supp:
+            failures.append(f"certificate weight {raised.text()} missing from the support")
+    if failures:
+        report.fail(f"w={w} (constructive): " + "; ".join(failures))
 
 
 # Each check's per-permutation body, and whether its domain is the inverse

@@ -1,4 +1,4 @@
-"""Droop rewrites and the weight-raising constructor for support checks.
+"""Droop rewrites and the weight-raising constructor behind the conj13 check.
 
 A droop site is a south-east strand whose column can be shifted one step
 right: the vertical run of crosses below it slides from column j to j+1,
@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Diagram, DiagramError, Kind, Tile, is_member, trace, weight, weighty_cells
-from .mvpd import is_top, mvpd_set
+from .mvpd import is_top
 from .permutations import Perm
-from .pipedream import grothendieck, max_cross_count
 
 
 def locate_droop_site(d: Diagram, i: int, j: int) -> int:
@@ -111,16 +110,18 @@ class Step:
 
     def apply(self, d: Diagram, w: Perm) -> Diagram:
         """The diagram this step rewrites d into: the one place a step is
-        written and checked.  Raises ``DiagramError`` unless the result is
-        a diagram of w."""
+        written and checked.  Raises ``DiagramError`` for an op it does not
+        know, or unless the result is a diagram of w."""
         i, j = self.cell
         if self.op == "droop_prime":
             updates = droop_prime(d, i, j)
-        else:
+        elif self.op in _UPGRADES:
             old, new = _UPGRADES[self.op]
             if d.tile(i, j) is not old:
                 raise DiagramError(f"({i},{j}): {self.op} rewrites {old.value!r} tiles only")
             updates = {self.cell: new}
+        else:
+            raise DiagramError(f"unknown step op {self.op!r}")
         out = d.with_tiles(updates)
         if not is_member(out, w):
             raise DiagramError(f"{self.op} at ({i},{j}) left the diagram set of {w.letters}")
@@ -223,70 +224,3 @@ def _finish(w, start, steps, out, gained_row) -> Certificate:
     if want != got:
         raise DiagramError(f"constructed weight {got} is not the input weight times x{gained_row}")
     return Certificate(w, start, tuple(steps), out, gained_row)
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    """Outcome of a support check on one permutation."""
-
-    ok: bool
-    checked: int
-    failures: tuple[str, ...] = ()
-    certificates: tuple[Certificate, ...] = ()
-
-
-def check_support_growth(w: Perm) -> ConjectureReport:
-    """Every non-maximal support monomial stays in the support after
-    multiplying by some x_i."""
-    supp = grothendieck(w).support()
-    degree = max_cross_count(w)
-    failures = []
-    checked = 0
-    for m in supp:
-        if m.degree >= degree:
-            continue
-        checked += 1
-        if not any(m.times_x(i) in supp for i in range(1, w.n + 1)):
-            failures.append(f"{m.text()} has no x_i growth in the support")
-    return ConjectureReport(not failures, checked, tuple(failures))
-
-
-def certify_support_growth(w: Perm) -> ConjectureReport:
-    """Support growth for inverse fireworks w, through a constructed
-    certificate for every non-maximal marked diagram.  A diagram that the
-    constructor cannot raise is a failure, reported with the diagram."""
-    if not w.is_inverse_fireworks():
-        raise ValueError("constructed certificates need an inverse fireworks permutation")
-    supp = grothendieck(w).support()
-    failures = []
-    certs = []
-    checked = 0
-    for d in mvpd_set(w):
-        if is_top(d, w):
-            continue
-        checked += 1
-        try:
-            cert = construct_up(d, w)
-        except DiagramError as exc:
-            failures.append(f"no certificate for\n{d.render_text()}\n{exc}")
-            continue
-        certs.append(cert)
-        raised = weight(cert.output)
-        if raised not in supp:
-            failures.append(f"certificate weight {raised.text()} missing from the support")
-    return ConjectureReport(not failures, checked, tuple(failures), tuple(certs))
-
-
-def check_support_divisibility(w: Perm) -> ConjectureReport:
-    """Every non-maximal support monomial divides a different support monomial."""
-    supp = grothendieck(w).support()
-    degree = max_cross_count(w)
-    failures = []
-    checked = 0
-    for m in supp:
-        if m.degree >= degree:
-            continue
-        checked += 1
-        if not any(m != other and m.divides(other) for other in supp):
-            failures.append(f"{m.text()} divides nothing else in the support")
-    return ConjectureReport(not failures, checked, tuple(failures))

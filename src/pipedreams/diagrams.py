@@ -46,10 +46,6 @@ class Tile(Enum):
     BUMP = "b"  # west-to-north plus south-to-east (the strands touch)
     MARKED_SE = "R"  # south-to-east arc carrying a mark
 
-    @property
-    def connects(self) -> frozenset[str]:
-        return _CONNECTS[self]
-
     def has(self, side: str) -> bool:
         return side in _CONNECTS[self]
 

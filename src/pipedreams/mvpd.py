@@ -18,6 +18,7 @@ from .diagrams import (
     Kind,
     Tile,
     code_of,
+    is_member,
     members,
     signed_weight_sum,
     sort_key,
@@ -69,14 +70,13 @@ def pd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
 
 def mvpd_to_pd(d: Diagram, w: Perm) -> Diagram:
     """Reinstate the removed pipes: every weighty tile becomes a cross, and
-    the rest of the staircase bumps."""
+    the rest of the staircase bumps.  A member's weighty tiles all lie on
+    the staircase, since its alphabet allows none beyond."""
     if d.kind is not Kind.MVPD:
         raise ValueError(f"expected an MVPD, got {d.kind.value}")
-    crosses = weighty_cells(d)
-    outside = sorted((i, j) for i, j in crosses if i + j > d.n)
-    if outside:
-        raise DiagramError(f"rewrite left the pipe-dream region: weighty tiles at {outside}")
-    return pd_from_crosses(d.n, crosses)
+    if not is_member(d, w):
+        raise ValueError(f"diagram does not belong to {w.letters}")
+    return pd_from_crosses(d.n, weighty_cells(d))
 
 
 @lru_cache(maxsize=None)

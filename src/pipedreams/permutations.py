@@ -171,34 +171,9 @@ class Code:
             raise ValueError(f"repeated pipe labels in {self.entries!r}")
 
     @property
-    def is_reduced(self) -> bool:
-        return len(self.entries) == self.n - 1
-
-    @property
     def pipes(self) -> frozenset[int]:
         """The rows at which pipes enter (the non-zero entries)."""
         return frozenset(v for v in self.entries if v)
-
-    def full_entries(self) -> tuple[int, ...]:
-        return ((0,) + self.entries) if self.is_reduced else self.entries
-
-    def realize(self) -> Perm:
-        """Fill the zero slots with the missing values of 1..n in increasing order."""
-        full = list(self.full_entries())
-        missing = iter(sorted(set(range(1, self.n + 1)) - set(full)))
-        return Perm(tuple(v if v else next(missing) for v in full))
-
-    def is_realizable(self) -> bool:
-        """True iff ``realize`` puts its left-to-right maxima exactly at the zero slots."""
-        full = self.full_entries()
-        p = self.realize()
-        zero_slots = {c for c, v in enumerate(full, start=1) if v == 0}
-        maxima = p.lr_maxima()
-        maxima_slots = {c for c in range(1, self.n + 1) if p(c) in maxima}
-        return maxima_slots == zero_slots
-
-    def to_json(self) -> list[int]:
-        return list(self.entries)
 
 
 def symmetric_group(n: int) -> Iterator[Perm]:

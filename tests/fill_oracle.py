@@ -49,14 +49,13 @@ def unpruned_fill(kind: Kind, n: int, entering: Iterable[int]) -> Iterator[Diagr
         if j == 1:
             west = i in want
         for t in alphabet[(i, j)]:
-            c = t.connects
-            if ("W" in c) != west or ("S" in c) != north[j]:
+            if t.has("W") != west or t.has("S") != north[j]:
                 continue
-            if j == cols and "E" in c:
+            if j == cols and t.has("E"):
                 continue
             grid[i - 1][j - 1] = t
-            saved, north[j] = north[j], "N" in c
-            yield from fill(k + 1, "E" in c)
+            saved, north[j] = north[j], t.has("N")
+            yield from fill(k + 1, t.has("E"))
             north[j] = saved
 
     yield from fill(0, False)

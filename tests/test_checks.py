@@ -1,5 +1,6 @@
 import pytest
 
+from pipedreams import checks
 from pipedreams.checks import CHECKS, run_check
 from pipedreams.permutations import symmetric_group
 
@@ -40,3 +41,15 @@ def test_failure_lines_carry_witnesses():
     report.fail("w=stub: planted witness")
     assert not report.ok
     assert any("planted witness" in line for line in report.lines())
+
+
+def test_planted_degree_fails_both_support_checks(monkeypatch):
+    # One degree too high makes every top monomial non-maximal, and a top
+    # monomial neither grows nor divides another.
+    real = checks.max_cross_count
+    monkeypatch.setattr(checks, "max_cross_count", lambda w: real(w) + 1)
+    for name, witness in [("conj12", "divides nothing else"), ("conj13", "has no x_i growth")]:
+        report = run_check(name, 3)
+        assert len(report.failures) == 6, name
+        assert all(witness in f for f in report.failures), name
+

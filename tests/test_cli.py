@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pipedreams import cli, construct, diagrams, pipedream
+from pipedreams import checks, cli, diagrams, pipedream
 from pipedreams.checks import CHECKS
 from pipedreams.construct import Step
 from pipedreams.cli import main
@@ -128,6 +128,17 @@ class TestMap:
         assert code == 0
         assert out.strip() == "+b+J\n++J.\nbJ..\nJ..."
 
+    @pytest.mark.parametrize("w", ["1,2,3,4", "4,3,2,1", "1,2,3"])
+    def test_phi_inv_of_another_w_is_usage_error(self, capsys, tmp_path, w):
+        src = tmp_path / "m.txt"
+        src.write_text("-b-J\n-J..\n....\n....")
+        code, out, err = run(capsys, "map", "--which", "phi-inv", "--w", "2,4,1,3", "--in", str(src))
+        assert code == 0 and out.strip() == "+b+J\n+bJ.\nbJ..\nJ..."
+        code, out, err = run(capsys, "map", "--which", "phi-inv", "--w", w, "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "does not belong" in err
+
     def test_invalid_diagram_is_usage_error(self, capsys, tmp_path):
         src = tmp_path / "bad.txt"
         src.write_text("++\n++")
@@ -224,11 +235,11 @@ class TestCheck:
         def broken(d, w):
             raise DiagramError("planted constructor fault")
 
-        monkeypatch.setattr(construct, "construct_up", broken)
+        monkeypatch.setattr(checks, "construct_up", broken)
         code, out, _ = run(capsys, "check", "--what", "conj13", "--n", "4")
         assert code == 1
         assert "FAIL" in out
-        assert "witness: w=" in out
+        assert "(constructive): no certificate for" in out
         assert "planted constructor fault" in out
 
     @pytest.mark.parametrize("n", ["0", "-3"])

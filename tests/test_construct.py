@@ -1,12 +1,10 @@
 import pytest
 
-from pipedreams import construct
+from pipedreams import checks, construct
+from pipedreams.checks import CHECKS, SweepReport
 from pipedreams.construct import (
     Certificate,
     Step,
-    certify_support_growth,
-    check_support_divisibility,
-    check_support_growth,
     construct_up,
     droop_prime,
     find_pattern,
@@ -27,6 +25,7 @@ from pipedreams.diagrams import (
 from pipedreams.mvpd import is_top, mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import grothendieck, pd_set
+from pipedreams.polynomials import Monomial
 
 W2413 = Perm.from_one_line([2, 4, 1, 3])
 
@@ -131,6 +130,11 @@ class TestStep:
                         with pytest.raises(DiagramError):
                             Step("mark", (i, j)).apply(m, w)
         assert unmarkable
+
+    def test_unknown_op_raises(self):
+        m = mvpd(4, "-b-J\n-J..\n....\n....")
+        with pytest.raises(DiagramError, match="unknown step op 'swap'"):
+            Step("swap", (1, 2)).apply(m, W2413)
 
     def test_bump_to_cross_leaving_the_set_raises(self):
         # The bump's pipes cross nowhere else, so a cross there changes the code.
@@ -259,36 +263,54 @@ class TestConstructUp:
         assert Diagram.from_json(data["output"]).render_text() != m.render_text()
 
 
+def run_body(name, w):
+    """One check's report on the single permutation w."""
+    report = SweepReport(name, w.n)
+    CHECKS[name][0](report, w)
+    return report
+
+
 class TestConjectures:
     def test_direct_2413(self):
-        r = check_support_growth(W2413)
-        assert r.ok and r.checked == 2
+        assert run_body("conj13", W2413).ok
 
     def test_identity_is_vacuous(self):
-        r = check_support_growth(Perm.identity(3))
-        assert r.ok and r.checked == 0
-        r2 = check_support_divisibility(Perm.identity(3))
-        assert r2.ok and r2.checked == 0
+        # G_id = 1: its one monomial is of top degree, so nothing is checked.
+        assert grothendieck(Perm.identity(3)).support() == {Monomial.from_rows(3, ())}
+        assert run_body("conj13", Perm.identity(3)).ok
+        assert run_body("conj12", Perm.identity(3)).ok
 
     def test_divisibility_2413(self):
-        r = check_support_divisibility(W2413)
-        assert r.ok and r.checked == 2
+        assert run_body("conj12", W2413).ok
 
     def test_s4_direct_sweep(self):
         for w in symmetric_group(4):
-            assert check_support_growth(w).ok
-            assert check_support_divisibility(w).ok
+            assert run_body("conj13", w).ok
+            assert run_body("conj12", w).ok
 
-    def test_constructive_matches_direct(self):
+    def test_constructive_matches_direct(self, monkeypatch):
+        certs = []
+
+        def recording_construct_up(d, w):
+            certs.append(construct_up(d, w))
+            return certs[-1]
+
+        monkeypatch.setattr(checks, "construct_up", recording_construct_up)
         for w in symmetric_group(4):
             if not w.is_inverse_fireworks():
                 continue
-            r = certify_support_growth(w)
-            assert r.ok
+            certs.clear()
+            assert run_body("conj13", w).ok
+            assert len(certs) == sum(1 for m in mvpd_set(w) if not is_top(m, w))
             supp = grothendieck(w).support()
-            for cert in r.certificates:
+            for cert in certs:
                 assert row_weight(w, cert.output) in supp
 
-    def test_constructive_needs_inverse_fireworks(self):
-        with pytest.raises(ValueError):
-            certify_support_growth(Perm.from_one_line([3, 1, 4, 2]))
+    def test_constructive_needs_inverse_fireworks(self, monkeypatch):
+        def no_construct_up(d, w):
+            raise AssertionError("constructor called off the inverse fireworks part")
+
+        monkeypatch.setattr(checks, "construct_up", no_construct_up)
+        w = Perm.from_one_line([3, 1, 4, 2])
+        assert not w.is_inverse_fireworks()
+        assert run_body("conj13", w).ok

@@ -3,7 +3,6 @@ import pytest
 from pipedreams.construct import Step, find_upgrade
 from pipedreams.diagrams import (
     Diagram,
-    DiagramError,
     Kind,
     Tile,
     is_member,
@@ -99,8 +98,17 @@ class TestRemovalMap:
     def test_weighty_tile_outside_the_staircase_rejected(self):
         # Diagram() does not validate, so a horizontal can sit at i + j > n.
         stray = Diagram(Kind.MVPD, 2, ((Tile.BLANK, Tile.BLANK), (Tile.BLANK, Tile.HORIZONTAL)))
-        with pytest.raises(DiagramError, match="pipe-dream region"):
+        with pytest.raises(ValueError, match="does not belong"):
             mvpd_to_pd(stray, Perm.identity(2))
+
+    def test_inverse_rejects_a_diagram_of_another_w(self):
+        m = parse_mvpd(4, "-b-J\n-J..\n....\n....")
+        assert mvpd_to_pd(m, W2413).render_text() == "+b+J\n+bJ.\nbJ..\nJ..."
+        for other in ([1, 2, 3, 4], [4, 3, 2, 1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="does not belong"):
+                mvpd_to_pd(m, Perm.from_one_line(other))
+        with pytest.raises(ValueError, match="expected an MVPD"):
+            mvpd_to_pd(pd_set(W2413)[0], Perm.from_one_line([1, 2, 3]))
 
 
 class TestPolynomialRoutes:

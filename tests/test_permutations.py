@@ -124,12 +124,11 @@ class TestCodes:
                 if w.is_inverse_fireworks():
                     assert w.pipe_travel() == w.inverse.major_index()
 
-    def test_realize_recovers_the_inverse(self):
+    def test_column_codes_are_distinct(self):
+        # So the MVPD sets of different w of one size are disjoint.
         for n in range(1, 6):
-            for w in symmetric_group(n):
-                code = w.column_code()
-                assert code.realize() == w.inverse
-                assert code.is_realizable()
+            codes = [w.column_code() for w in symmetric_group(n)]
+            assert len(set(codes)) == len(codes)
 
     def test_code_validation(self):
         with pytest.raises(ValueError):
@@ -138,11 +137,3 @@ class TestCodes:
             Code((4, 0, 0), 3)  # out of range
         with pytest.raises(ValueError):
             Code((0,), 3)  # wrong length
-
-    def test_unrealizable_code(self):
-        assert not Code((2, 0, 0), 3).is_realizable()
-
-    def test_reduced_code_realize(self):
-        code = perm(2, 4, 1, 3).reduced_column_code()
-        assert code.is_reduced
-        assert code.realize() == perm(3, 1, 4, 2)
