@@ -11,7 +11,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .diagrams import Diagram, DiagramError, Kind, Tile, is_member, members, weight
-from .mvpd import is_top, mvpd_to_pd, pd_to_mvpd
+from .mvpd import _mvpd_to_pd, is_top, pd_to_mvpd
 from .permutations import Perm
 from .polynomials import Poly
 
@@ -82,8 +82,9 @@ def bvpd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
 
 
 def bvpd_to_pd(d: Diagram, w: Perm) -> Diagram:
-    """The composite bijection onto the maximal-cross pipe dreams."""
-    return mvpd_to_pd(bvpd_to_mvpd(d, w), w)
+    """The composite bijection onto the maximal-cross pipe dreams; the MVPD
+    between is checked once, by ``bvpd_to_mvpd``."""
+    return _mvpd_to_pd(bvpd_to_mvpd(d, w))
 
 
 def pd_to_bvpd(d: Diagram, w: Perm) -> Diagram:

@@ -14,13 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Diagram, DiagramError, Kind, Tile, is_member, trace, weight, weighty_cells
+from .diagrams import (
+    Diagram,
+    DiagramError,
+    Kind,
+    Tile,
+    TraceResult,
+    _member_trace,
+    trace,
+    weight,
+    weighty_cells,
+)
 from .mvpd import is_top
 from .permutations import Perm
 
 
 def locate_droop_site(d: Diagram, i: int, j: int) -> int:
-    """Check the droop preconditions at (i, j) and return the foot row."""
+    """Check the droop preconditions at (i, j) and return the foot row.
+    Only a cross site is traced: its labels tell a fake crossing."""
     if d.kind is not Kind.MVPD:
         raise ValueError(f"expected an MVPD, got {d.kind.value}")
     t = d.tile(i, j)
@@ -112,6 +123,10 @@ class Step:
         """The diagram this step rewrites d into: the one place a step is
         written and checked.  Raises ``DiagramError`` for an op it does not
         know, or unless the result is a diagram of w."""
+        return self._apply(d, w)[0]
+
+    def _apply(self, d: Diagram, w: Perm) -> tuple[Diagram, TraceResult]:
+        """``apply``, returning the output together with its checked trace."""
         i, j = self.cell
         if self.op == "droop_prime":
             updates = droop_prime(d, i, j)
@@ -123,9 +138,10 @@ class Step:
         else:
             raise DiagramError(f"unknown step op {self.op!r}")
         out = d.with_tiles(updates)
-        if not is_member(out, w):
+        out_tr = _member_trace(out, w)
+        if out_tr is None:
             raise DiagramError(f"{self.op} at ({i},{j}) left the diagram set of {w.letters}")
-        return out
+        return out, out_tr
 
     def to_json(self) -> dict:
         return {"op": self.op, "cell": list(self.cell)}
@@ -136,18 +152,23 @@ def find_upgrade(d: Diagram, w: Perm) -> tuple[Step, Diagram] | None:
     diagram in w's set, with the diagram it makes: mark an elbow whose pipe
     has a lower horizontal, or turn a bump whose pipes really cross
     elsewhere into a cross."""
-    tr = trace(d)
-    for i, j, t in d.cells():
-        if t is Tile.ELBOW_SE and tr.markable(i, j):
-            step = Step("mark", (i, j))
-        elif t is Tile.BUMP and tr.pipe_at(i, j) in tr.crossed_pairs:
-            step = Step("bump_to_cross", (i, j))
-        else:
-            continue
-        try:
-            return step, step.apply(d, w)
-        except DiagramError:
-            continue
+    return _find_upgrade(d, trace(d), w)
+
+
+def _find_upgrade(d: Diagram, tr: TraceResult, w: Perm) -> tuple[Step, Diagram] | None:
+    """``find_upgrade`` given d's trace."""
+    for i, row in enumerate(d.tiles, start=1):
+        for j, t in enumerate(row, start=1):
+            if t is Tile.ELBOW_SE and tr.markable(i, j):
+                step = Step("mark", (i, j))
+            elif t is Tile.BUMP and tr.pipe_at(i, j) in tr.crossed_pairs:
+                step = Step("bump_to_cross", (i, j))
+            else:
+                continue
+            try:
+                return step, step.apply(d, w)
+            except DiagramError:
+                continue
     return None
 
 
@@ -182,7 +203,8 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
         raise ValueError(f"{w.letters}: not inverse fireworks")
     if d.kind is not Kind.MVPD:
         raise ValueError(f"expected an MVPD, got {d.kind.value}")
-    if not is_member(d, w):
+    tr = _member_trace(d, w)
+    if tr is None:
         raise ValueError("input diagram is not in the stated set")
     if is_top(d, w):
         raise ValueError("input diagram already has maximal weight")
@@ -190,7 +212,8 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
     steps: list[Step] = []
     budget = sum(j for _, j in weighty_cells(d))
     while True:
-        upgrade = find_upgrade(d, w)
+        # tr is d's checked trace: the input's, then each droop output's.
+        upgrade = _find_upgrade(d, tr, w)
         if upgrade is not None:
             step, out = upgrade
             steps.append(step)
@@ -199,7 +222,7 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
         foot_row = locate_droop_site(d, i, j)
         before = weighty_cells(d)
         step = Step("droop_prime", (i, j))
-        nxt = step.apply(d, w)
+        nxt, tr = step._apply(d, w)
         after = weighty_cells(nxt)
         steps.append(step)
         foot = (foot_row, j)

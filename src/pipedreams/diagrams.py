@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .permutations import Code, Perm
@@ -36,31 +37,42 @@ class DiagramError(Exception):
 
 
 class Tile(Enum):
-    """Cell contents; the value doubles as the one-character render glyph."""
+    """Cell contents: the value is the one-character render glyph, and
+    ``sides`` the edges (of W, E, S, N) that the tile's strands meet."""
 
-    BLANK = "."
-    HORIZONTAL = "-"  # west-east strand
-    CROSS = "+"  # west-east and south-north strands
-    ELBOW_WN = "J"  # west-to-north arc
-    ELBOW_SE = "r"  # south-to-east arc
-    BUMP = "b"  # west-to-north plus south-to-east (the strands touch)
-    MARKED_SE = "R"  # south-to-east arc carrying a mark
+    BLANK = ".", ""
+    HORIZONTAL = "-", "WE"  # west-east strand
+    CROSS = "+", "WESN"  # west-east and south-north strands
+    ELBOW_WN = "J", "WN"  # west-to-north arc
+    ELBOW_SE = "r", "SE"  # south-to-east arc
+    BUMP = "b", "WESN"  # west-to-north plus south-to-east (the strands touch)
+    MARKED_SE = "R", "SE"  # south-to-east arc carrying a mark
+
+    sides: frozenset[str]
+
+    def __new__(cls, glyph: str, sides: str) -> Tile:
+        tile = object.__new__(cls)
+        tile._value_ = glyph
+        # A plain attribute: the tracer reads it per cell, where hashing an
+        # enum member into a table would cost a Python-level __hash__.
+        tile.sides = frozenset(sides)
+        return tile
 
     def has(self, side: str) -> bool:
-        return side in _CONNECTS[self]
-
-
-_CONNECTS: dict[Tile, frozenset[str]] = {
-    Tile.BLANK: frozenset(),
-    Tile.HORIZONTAL: frozenset("WE"),
-    Tile.CROSS: frozenset("WESN"),
-    Tile.ELBOW_WN: frozenset("WN"),
-    Tile.ELBOW_SE: frozenset("SE"),
-    Tile.BUMP: frozenset("WESN"),
-    Tile.MARKED_SE: frozenset("SE"),
-}
+        return side in self.sides
 
 _CHAR_TO_TILE: dict[str, Tile] = {t.value: t for t in Tile}
+
+# The tiles that per-cell loops compare against, bound once.  On Python 3.10
+# and 3.11 the enum metaclass has a ``__getattr__`` hook, which makes every
+# ``Tile.X`` lookup several times dearer than reading a global.
+_HORIZONTAL, _CROSS, _ELBOW_WN, _ELBOW_SE, _MARKED_SE = (
+    Tile.HORIZONTAL,
+    Tile.CROSS,
+    Tile.ELBOW_WN,
+    Tile.ELBOW_SE,
+    Tile.MARKED_SE,
+)
 
 
 class Kind(Enum):
@@ -227,13 +239,13 @@ def _exits(t: Tile, w_in: int, s_in: int, crossed: set[frozenset[int]]) -> tuple
     pair joins ``crossed``; a pair that has already crossed bounces instead,
     with the west label leaving north.
     """
-    if t is Tile.HORIZONTAL:
+    if t is _HORIZONTAL:
         return 0, w_in
-    if t is Tile.ELBOW_WN:
+    if t is _ELBOW_WN:
         return w_in, 0
-    if t is Tile.ELBOW_SE or t is Tile.MARKED_SE:
+    if t is _ELBOW_SE or t is _MARKED_SE:
         return 0, s_in
-    if t is Tile.CROSS:
+    if t is _CROSS:
         pair = frozenset((w_in, s_in))
         if pair not in crossed:
             crossed.add(pair)
@@ -252,20 +264,20 @@ def trace(d: Diagram) -> TraceResult:
     crossed: set[frozenset[int]] = set()
     for i in range(rows, 0, -1):
         west = i if i in entering else 0
-        for j in range(1, cols + 1):
-            t = d.tiles[i - 1][j - 1]
-            w_in, s_in = west, south[j]
-            if bool(w_in) != t.has("W") or bool(s_in) != t.has("S"):
-                if bool(w_in) != t.has("W"):
-                    raise DiagramError(f"({i},{j - 1})-({i},{j}): east/west edges disagree")
+        for j, t in enumerate(d.tiles[i - 1], start=1):
+            s_in = south[j]
+            sides = t.sides
+            if (not west) == ("W" in sides):
+                raise DiagramError(f"({i},{j - 1})-({i},{j}): east/west edges disagree")
+            if (not s_in) == ("S" in sides):
                 if i == rows:
                     raise DiagramError(f"({i},{j}): south connection leaves the grid")
                 raise DiagramError(f"({i},{j})-({i + 1},{j}): south/north edges disagree")
-            n_out, e_out = _exits(t, w_in, s_in, crossed)
-            cells[(i, j)] = (w_in, s_in, n_out, e_out)
-            if t is Tile.HORIZONTAL:
+            n_out, e_out = _exits(t, west, s_in, crossed)
+            cells[(i, j)] = (west, s_in, n_out, e_out)
+            if t is _HORIZONTAL:
                 # The sweep runs bottom-up, so the first horizontal met is the lowest.
-                lowest.setdefault(w_in, i)
+                lowest.setdefault(west, i)
             south[j] = n_out
             west = e_out
         if west:
@@ -285,14 +297,27 @@ def validate(d: Diagram) -> list[str]:
     return _checked_trace(d)[0]
 
 
+@lru_cache(maxsize=None)
+def _alphabets(kind: Kind, n: int) -> tuple[tuple[Tile, ...], ...]:
+    """``allowed_tiles`` of every cell in row-major order: it depends on
+    the species and the size alone."""
+    rows, cols = grid_shape(kind, n)
+    return tuple(
+        allowed_tiles(kind, n, i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)
+    )
+
+
 def _checked_trace(d: Diagram) -> tuple[list[str], TraceResult | None]:
     """``validate``'s problems together with the trace they were read from
     (``None`` when the tracer refused the grid)."""
-    out = [
-        f"({i},{j}): {t.value!r} not allowed in a {d.kind.value} there"
-        for i, j, t in d.cells()
-        if t not in allowed_tiles(d.kind, d.n, i, j)
-    ]
+    alphabets = _alphabets(d.kind, d.n)
+    out = []
+    if not all(map(tuple.__contains__, alphabets, chain.from_iterable(d.tiles))):
+        out = [
+            f"({i},{j}): {t.value!r} not allowed in a {d.kind.value} there"
+            for (i, j, t), allowed in zip(d.cells(), alphabets)
+            if t not in allowed
+        ]
     try:
         tr = trace(d)
     except DiagramError as exc:
@@ -304,8 +329,10 @@ def mark_violations(d: Diagram, tr: TraceResult) -> list[str]:
     """Marked elbows whose pipe has no horizontal tile in any lower row."""
     return [
         f"({i},{j}): mark on pipe {tr.cells[(i, j)][1]} with no lower horizontal"
-        for i, j, t in d.cells()
-        if t is Tile.MARKED_SE and not tr.markable(i, j)
+        for i, row in enumerate(d.tiles, start=1)
+        if _MARKED_SE in row
+        for j, t in enumerate(row, start=1)
+        if t is _MARKED_SE and not tr.markable(i, j)
     ]
 
 
@@ -328,10 +355,16 @@ def code_of(kind: Kind, w: Perm) -> Code:
 def is_member(d: Diagram, w: Perm) -> bool:
     """True iff d is a diagram of w in its species: a valid grid whose
     traced code is ``code_of(d.kind, w)``."""
+    return _member_trace(d, w) is not None
+
+
+def _member_trace(d: Diagram, w: Perm) -> TraceResult | None:
+    """The checked trace of d if d is a diagram of w, else ``None``: the
+    one membership test, for callers that go on to read the trace."""
     if d.n != w.n:
-        return False
+        return None
     problems, tr = _checked_trace(d)
-    return not problems and tr.code == code_of(d.kind, w)
+    return tr if not problems and tr.code == code_of(d.kind, w) else None
 
 
 # The fill recurses once per cell, and a grid of size n has up to n^2 cells:
@@ -379,7 +412,7 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
         s_in = south[j]
         for t in choices.get((i, j, bool(west), bool(s_in)), ()):
             n_out, e_out = _exits(t, west, s_in, crossed)
-            fresh = t is Tile.CROSS and n_out == s_in  # this tile crossed its pair
+            fresh = t is _CROSS and n_out == s_in  # this tile crossed its pair
             alive = (
                 not (e_out and exit_col[e_out] <= j)
                 and not (n_out and exit_col[n_out] < j)
@@ -411,7 +444,12 @@ WEIGHTY: dict[Kind, tuple[Tile, ...]] = {
 def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
     """Positions of the weight-bearing tiles of the diagram's species."""
     weighty = WEIGHTY[d.kind]
-    return frozenset((i, j) for i, j, t in d.cells() if t in weighty)
+    return frozenset(
+        (i, j)
+        for i, row in enumerate(d.tiles, start=1)
+        for j, t in enumerate(row, start=1)
+        if t in weighty
+    )
 
 
 def weight(d: Diagram) -> Monomial:

@@ -76,6 +76,11 @@ def mvpd_to_pd(d: Diagram, w: Perm) -> Diagram:
         raise ValueError(f"expected an MVPD, got {d.kind.value}")
     if not is_member(d, w):
         raise ValueError(f"diagram does not belong to {w.letters}")
+    return _mvpd_to_pd(d)
+
+
+def _mvpd_to_pd(d: Diagram) -> Diagram:
+    """``mvpd_to_pd`` of a diagram already checked to be a member."""
     return pd_from_crosses(d.n, weighty_cells(d))
 
 

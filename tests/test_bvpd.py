@@ -1,5 +1,6 @@
 import pytest
 
+from pipedreams import diagrams
 from pipedreams.bvpd import (
     bvpd_to_mvpd,
     bvpd_to_pd,
@@ -163,6 +164,24 @@ class TestCompositeMap:
                 assert image == sorted(top_pd_set(w), key=sort_key)
                 for b in bs:
                     assert pd_to_bvpd(bvpd_to_pd(b, w), w) == b
+
+    def test_traces_its_mvpd_once(self, monkeypatch):
+        traced = []
+        plain_trace = diagrams.trace
+
+        def counting_trace(d):
+            traced.append(d)
+            return plain_trace(d)
+
+        cases = [
+            (w, b, bvpd_to_mvpd(b, w)) for w in inverse_fireworks(5) for b in enumerate_bvpd(w)
+        ]
+        assert len(cases) == 66
+        monkeypatch.setattr(diagrams, "trace", counting_trace)
+        for w, b, m in cases:
+            traced.clear()
+            bvpd_to_pd(b, w)
+            assert traced == [m]
 
 
 class TestWeights:

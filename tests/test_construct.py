@@ -1,6 +1,6 @@
 import pytest
 
-from pipedreams import checks, construct
+from pipedreams import checks, construct, diagrams
 from pipedreams.checks import CHECKS, SweepReport
 from pipedreams.construct import (
     Certificate,
@@ -233,12 +233,13 @@ class TestConstructUp:
 
     def test_checks_each_diagram_once(self, monkeypatch):
         checked = []
+        member_trace = construct._member_trace
 
-        def recording_is_member(d, w):
+        def recording_member_trace(d, w):
             checked.append(d)
-            return is_member(d, w)
+            return member_trace(d, w)
 
-        monkeypatch.setattr(construct, "is_member", recording_is_member)
+        monkeypatch.setattr(construct, "_member_trace", recording_member_trace)
         inputs = [(W14253_INV, mvpd(5, EX59_TEXT))]
         for w in symmetric_group(4):
             if w.is_inverse_fireworks():
@@ -249,6 +250,39 @@ class TestConstructUp:
             cert = construct_up(m, w)
             assert cert.input in checked and cert.output in checked
             assert len(checked) == len(set(checked)), m.render_text()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_traces_once_per_diagram(self, monkeypatch, n):
+        # One trace for the input, then one for the output of each step
+        # applied or tried; nothing is traced twice.
+        traces = []
+        tried = []
+        plain_trace, plain_apply = diagrams.trace, Step._apply
+
+        def counting_trace(d):
+            traces.append(d)
+            return plain_trace(d)
+
+        def counting_apply(step, d, w):
+            tried.append(step)
+            return plain_apply(step, d, w)
+
+        monkeypatch.setattr(diagrams, "trace", counting_trace)
+        monkeypatch.setattr(construct, "trace", counting_trace)
+        monkeypatch.setattr(Step, "_apply", counting_apply)
+        calls = 0
+        for w in symmetric_group(n):
+            if not w.is_inverse_fireworks():
+                continue
+            for m in mvpd_set(w):
+                if is_top(m, w):
+                    continue
+                traces.clear()
+                tried.clear()
+                construct_up(m, w)
+                assert len(traces) == 1 + len(tried), m.render_text()
+                calls += 1
+        assert calls
 
     def test_certificate_json(self):
         m = mvpd(5, EX59_TEXT)

@@ -2,6 +2,8 @@ import pytest
 
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
 from pipedreams import diagrams
 from pipedreams.bvpd import enumerate_bvpd
 from pipedreams.diagrams import (
@@ -10,6 +12,7 @@ from pipedreams.diagrams import (
     Kind,
     Tile,
     allowed_tiles,
+    grid_shape,
     is_member,
     members,
     mark_violations,
@@ -21,6 +24,7 @@ from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import pd_from_crosses, pd_set
 
 from fill_oracle import oracle_members, unpruned_fill
+from validate_oracle import oracle_validate
 
 # The n=5 diagram of one-line 24513 whose pipes 3 and 5 meet twice:
 # really at (3,2) and then fake at (2,3).
@@ -174,7 +178,9 @@ def species_members(n):
 
 class TestEdgeRuleOracle:
     def test_one_tile_mutations(self):
-        checked = 0
+        # Also the differential check of validate's messages where random
+        # grids seldom reach: past the alphabet and the tracer, to the marks.
+        checked = marks = 0
         for n in (3, 4):
             for _, ds in species_members(n):
                 for d in ds:
@@ -183,9 +189,12 @@ class TestEdgeRuleOracle:
                             if t is old:
                                 continue
                             mutant = d.with_tiles({(i, j): t})
-                            assert bool(validate(mutant)) == oracle_rejects(mutant), mutant
+                            problems = validate(mutant)
+                            assert bool(problems) == oracle_rejects(mutant), mutant
+                            assert problems == oracle_validate(mutant), mutant
+                            marks += any("no lower horizontal" in p for p in problems)
                             checked += 1
-        assert checked > 10_000
+        assert checked > 10_000 and marks
 
     def test_first_edge_problem_is_one_of_the_oracles(self):
         # The tracer names the first problem it meets, in the oracle's words.
@@ -197,6 +206,23 @@ class TestEdgeRuleOracle:
                         problems = neighbour_edge_problems(mutant)
                         if problems:
                             assert validate(mutant)[-1] in problems
+
+
+@st.composite
+def any_grids(draw):
+    """A grid of any species and size n <= 4 with any tile in any cell."""
+    kind = draw(st.sampled_from(Kind))
+    n = draw(st.integers(1, 4))
+    rows, cols = grid_shape(kind, n)
+    row = st.tuples(*[st.sampled_from(Tile)] * cols)
+    return Diagram(kind, n, draw(st.tuples(*[row] * rows)))
+
+
+class TestValidateOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(any_grids())
+    def test_any_grid(self, d):
+        assert validate(d) == oracle_validate(d)
 
 
 class TestMembership:
