@@ -4,10 +4,10 @@ A droop site is a south-east strand whose column can be shifted one step
 right: the vertical run of crosses below it slides from column j to j+1,
 the west-north elbow at its foot flattens to a horizontal, and the landing
 cell in column j+1 absorbs the turn.  Repeating the marked variant of this
-move, interleaved with single-tile upgrades, raises the weight of any
-non-maximal diagram of an inverse fireworks permutation by exactly one
-x variable.  Each move is a ``Step``, and ``Step.apply`` is the one place a
-move is written and checked.
+move, interleaved with single-tile upgrades, until one weighty tile is
+gained raises the weight of any non-maximal diagram of an inverse
+fireworks permutation by exactly one x variable.  Each move is a
+``Step``, and ``Step.apply`` is the one place a move is written and checked.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from .diagrams import (
     TraceResult,
     _member_trace,
     trace,
-    weight,
     weighty_cells,
 )
 from .mvpd import is_top
 from .permutations import Perm
+from .polynomials import Monomial
 
 
 def locate_droop_site(d: Diagram, i: int, j: int) -> int:
@@ -35,14 +35,17 @@ def locate_droop_site(d: Diagram, i: int, j: int) -> int:
     if d.kind is not Kind.MVPD:
         raise ValueError(f"expected an MVPD, got {d.kind.value}")
     t = d.tile(i, j)
-    if t in (Tile.ELBOW_SE, Tile.MARKED_SE, Tile.BUMP):
-        pass
-    elif t is Tile.CROSS:
+    if t is Tile.CROSS:
         w_in, _, n_out, _ = trace(d).cells[(i, j)]
         if n_out != w_in:
             raise DiagramError(f"({i},{j}): real crossing has no south-east strand")
-    else:
+    elif t not in (Tile.ELBOW_SE, Tile.MARKED_SE, Tile.BUMP):
         raise DiagramError(f"({i},{j}): {t.value!r} has no south-east strand")
+    return _foot(d, i, j)
+
+
+def _foot(d: Diagram, i: int, j: int) -> int:
+    """Check the droop preconditions beside and below (i, j); return the foot row."""
     if j + 1 > d.cols or d.tile(i, j + 1) is not Tile.HORIZONTAL:
         raise DiagramError(f"({i},{j + 1}): droop needs a horizontal on the right")
     i_prime = i + 1
@@ -75,10 +78,10 @@ _LANDING = {
 
 
 def droop_prime(d: Diagram, i: int, j: int) -> dict[tuple[int, int], Tile]:
-    """The tiles a marked droop at (i, j) writes: the vertical run below
-    (i, j) shifts one column right, and the fresh elbow at (i, j + 1) is
-    marked (its pipe now owns the flattened foot horizontal, which sits in
-    a lower row).  ``Step.apply`` checks the result."""
+    """The tiles a marked droop at (i, j) writes: the run below (i, j) shifts
+    one column right and the fresh elbow at (i, j + 1) is marked.  With foot
+    row f, the weighty cells W become (W - {(i, j), (f, j + 1)}) | {(f, j)}.
+    ``Step.apply`` checks the result."""
     foot = locate_droop_site(d, i, j)
     updates: dict[tuple[int, int], Tile] = {
         (i, j): _VACATED[d.tile(i, j)],
@@ -92,15 +95,25 @@ def droop_prime(d: Diagram, i: int, j: int) -> dict[tuple[int, int], Tile]:
     return updates
 
 
-def find_pattern(d: Diagram, w: Perm) -> tuple[int, int]:
-    """The lowest, then rightmost, bump-or-elbow with a horizontal on its
-    right; guaranteed to exist in a saturated non-maximal diagram."""
-    for i in range(d.rows, 0, -1):
-        for j in range(d.cols - 1, 0, -1):
-            if d.tile(i, j) in (Tile.BUMP, Tile.ELBOW_SE) and d.tile(
-                i, j + 1
-            ) is Tile.HORIZONTAL:
+def find_pattern(d: Diagram, tr: TraceResult, w: Perm) -> tuple[int, int]:
+    """The droop site of a diagram with no upgrade, given its trace: the
+    lowest, then rightmost, bump-or-elbow with a horizontal on its right;
+    failing that, the lowest, then rightmost, such fake cross that passes
+    the droop preconditions.  Fake crosses come last: taken first, they
+    break diagrams that a bump or elbow site raises."""
+    rows, cols = range(d.rows, 0, -1), range(d.cols - 1, 0, -1)
+    sites = [(i, j) for i in rows for j in cols if d.tile(i, j + 1) is Tile.HORIZONTAL]
+    for i, j in sites:
+        if d.tile(i, j) in (Tile.BUMP, Tile.ELBOW_SE):
+            return i, j
+    for i, j in sites:
+        w_in, _, n_out, _ = tr.cells[(i, j)]
+        if d.tile(i, j) is Tile.CROSS and n_out == w_in:
+            try:
+                _foot(d, i, j)
                 return i, j
+            except DiagramError:
+                pass
     raise DiagramError(
         "no droop pattern in a saturated non-maximal diagram "
         f"of {w.letters}: falsifying witness\n{d.render_text()}"
@@ -147,16 +160,11 @@ class Step:
         return {"op": self.op, "cell": list(self.cell)}
 
 
-def find_upgrade(d: Diagram, w: Perm) -> tuple[Step, Diagram] | None:
-    """The first single-tile weight +1 step (row-major scan) that keeps the
-    diagram in w's set, with the diagram it makes: mark an elbow whose pipe
-    has a lower horizontal, or turn a bump whose pipes really cross
-    elsewhere into a cross."""
-    return _find_upgrade(d, trace(d), w)
-
-
-def _find_upgrade(d: Diagram, tr: TraceResult, w: Perm) -> tuple[Step, Diagram] | None:
-    """``find_upgrade`` given d's trace."""
+def find_upgrade(d: Diagram, tr: TraceResult, w: Perm) -> tuple[Step, Diagram, TraceResult] | None:
+    """Given d's trace, the first single-tile weight +1 step (row-major scan)
+    that keeps the diagram in w's set, with its output and the output's
+    checked trace: mark an elbow whose pipe has a lower horizontal, or turn
+    a bump whose pipes really cross elsewhere into a cross."""
     for i, row in enumerate(d.tiles, start=1):
         for j, t in enumerate(row, start=1):
             if t is Tile.ELBOW_SE and tr.markable(i, j):
@@ -166,7 +174,7 @@ def _find_upgrade(d: Diagram, tr: TraceResult, w: Perm) -> tuple[Step, Diagram] 
             else:
                 continue
             try:
-                return step, step.apply(d, w)
+                return (step, *step._apply(d, w))
             except DiagramError:
                 continue
     return None
@@ -195,10 +203,11 @@ class Certificate:
 def construct_up(d: Diagram, w: Perm) -> Certificate:
     """Produce a member whose weight is the input's times one x variable.
 
-    Upgrades are tried first; otherwise the droop pattern is drooped with a
-    mark.  A droop either gains the foot row or slides one weighty tile a
-    column left, so the column sum of the weighty cells bounds the loop.
-    """
+    Take the first upgrade, else a marked droop at ``find_pattern``'s site,
+    until the diagram holds one weighty tile more than the input; a droop may
+    lower the count first (see ``droop_prime``).  Each step is a function of
+    the diagram and w's set is finite, so a chain that never stops revisits
+    a diagram, which raises ``DiagramError``."""
     if not w.is_inverse_fireworks():
         raise ValueError(f"{w.letters}: not inverse fireworks")
     if d.kind is not Kind.MVPD:
@@ -208,42 +217,29 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
         raise ValueError("input diagram is not in the stated set")
     if is_top(d, w):
         raise ValueError("input diagram already has maximal weight")
-    start = d
-    steps: list[Step] = []
-    budget = sum(j for _, j in weighty_cells(d))
-    while True:
-        # tr is d's checked trace: the input's, then each droop output's.
-        upgrade = _find_upgrade(d, tr, w)
-        if upgrade is not None:
-            step, out = upgrade
-            steps.append(step)
-            return _finish(w, start, steps, out, gained_row=step.cell[0])
-        i, j = find_pattern(d, w)
-        foot_row = locate_droop_site(d, i, j)
-        before = weighty_cells(d)
-        step = Step("droop_prime", (i, j))
-        nxt, tr = step._apply(d, w)
-        after = weighty_cells(nxt)
+    chain, steps = [d], []
+    start_cells = cells = weighty_cells(d)
+    while len(cells) <= len(start_cells):
+        # tr is d's checked trace: the input's, then each step output's.
+        upgrade = find_upgrade(d, tr, w)
+        if upgrade is None:
+            step = Step("droop_prime", find_pattern(d, tr, w))
+            d, tr = step._apply(d, w)
+        else:
+            step, d, tr = upgrade
+        if d in chain:
+            raise DiagramError(f"{step} revisits a diagram of its chain")
+        chain.append(d)
         steps.append(step)
-        foot = (foot_row, j)
-        landing = (foot_row, j + 1)
-        if len(after) == len(before) + 1:
-            if after != before | {foot}:
-                raise DiagramError(f"droop ledger broken at ({i},{j})")
-            return _finish(w, start, steps, nxt, gained_row=foot_row)
-        if after != (before - {landing}) | {foot} or landing not in before:
-            raise DiagramError(f"droop ledger broken at ({i},{j})")
-        d = nxt
-        budget -= 1
-        if budget < 0:
-            raise DiagramError("droop loop exceeded its column-sum bound")
+        cells = weighty_cells(d)
+    return _finish(w, chain, steps, start_cells, cells)
 
 
-def _finish(w, start, steps, out, gained_row) -> Certificate:
-    """The certificate of a chain whose steps ``Step.apply`` has checked,
-    once its output's weight is the input's times x_{gained_row}."""
-    want = weight(start).times_x(gained_row)
-    got = weight(out)
-    if want != got:
-        raise DiagramError(f"constructed weight {got} is not the input weight times x{gained_row}")
-    return Certificate(w, start, tuple(steps), out, gained_row)
+def _finish(w, chain, steps, start_cells, cells) -> Certificate:
+    """Certify a checked chain once its weight is the input's times x_i."""
+    want = Monomial.from_rows(w.n, (i for i, _ in start_cells))
+    got = Monomial.from_rows(w.n, (i for i, _ in cells))
+    row = next(i for i, (a, b) in enumerate(zip(want.x, got.x), start=1) if b > a)
+    if want.times_x(row) != got:
+        raise DiagramError(f"constructed weight {got.text()} is not the input weight times x{row}")
+    return Certificate(w, chain[0], tuple(steps), chain[-1], row)

@@ -341,6 +341,9 @@ def sort_key(d: Diagram) -> str:
     return d.render_text()
 
 
+# Every diagram one call checks reads the same code.  Keyed by value, not
+# held per Perm object, and bounded: a sweep moves on from each w.
+@lru_cache(maxsize=16)
 def code_of(kind: Kind, w: Perm) -> Code:
     """The code every diagram of w in the species reads off its top edge:
     w's inverse for PDs, its column code for MVPDs, and its reduced column

@@ -169,8 +169,9 @@ def test_criterion_09_constructor_s5():
         for m in mvpd_set(w):
             if is_top(m, w):
                 continue
-            # construct_up raises if the ledger, membership, or the
-            # column-sum bound is ever violated.
+            # construct_up steps until one weighty tile is gained; it raises
+            # if a step leaves w's set, the chain revisits a diagram, or the
+            # gain is not one x_i.
             cert = construct_up(m, w)
             before = weight(m)
             after = weight(cert.output)

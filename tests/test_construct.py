@@ -34,6 +34,35 @@ W2413 = Perm.from_one_line([2, 4, 1, 3])
 W14253_INV = Perm.from_one_line([1, 4, 2, 5, 3]).inverse
 EX59_TEXT = "r-JRJ\nJR-J.\n-J...\n.....\n....."
 
+# Inputs whose raise needs a droop at a fake cross, with the steps and the
+# gained row of their certificates.  The right n = 6 witness droops into the
+# left one at (1,1).  In the n = 7 input the fake-cross droop lands on the
+# marked elbow at (3,4), so the first bump_to_cross only wins back row 2's
+# tile and a second upgrade gains row 3.
+W146325 = Perm.from_one_line([1, 4, 6, 3, 2, 5])
+FAKE_CROSS_INPUTS = {
+    "right-n6": (
+        W146325,
+        "r-+JRJ/JR+-J./-+J.../-J..../....../......",
+        [("droop_prime", (1, 1)), ("droop_prime", (2, 3)), ("bump_to_cross", (2, 2))],
+    ),
+    "left-n6": (
+        W146325,
+        ".R+JRJ/-b+-J./-+J.../-J..../....../......",
+        [("droop_prime", (2, 3)), ("bump_to_cross", (2, 2))],
+    ),
+    "w1473265": (
+        Perm.from_one_line([1, 4, 7, 3, 2, 6, 5]),
+        ".R+JR+J/-b+-+J./-+JRJ../-JRJ.../.RJ..../-J...../.......",
+        [("droop_prime", (2, 3)), ("bump_to_cross", (2, 2)), ("bump_to_cross", (3, 4))],
+    ),
+}
+
+
+def fake_cross_input(name):
+    w, rows, _ = FAKE_CROSS_INPUTS[name]
+    return w, mvpd(w.n, rows.replace("/", "\n"))
+
 
 def mvpd(n, text):
     return Diagram.parse_text(Kind.MVPD, n, text)
@@ -94,21 +123,20 @@ class TestDroop:
                     drooped(m, i, j, w)
 
     def test_ledger_at_pattern_sites(self):
-        # At bump/elbow sites the foot row is gained and the landing cell
-        # is lost exactly when it was weighty.
-        for w in symmetric_group(4):
-            for m in mvpd_set(w):
-                for i, j, foot_row in droop_sites(m, w):
-                    if m.tile(i, j) not in (Tile.BUMP, Tile.ELBOW_SE):
-                        continue
-                    before = weighty_cells(m)
-                    after = weighty_cells(drooped(m, i, j, w))
-                    foot = (foot_row, j)
-                    landing = (foot_row, j + 1)
-                    if landing in before:
-                        assert after == (before - {landing}) | {foot}
-                    else:
-                        assert after == before | {foot}
+        # One rule at every droop site: the site and the landing cell stop
+        # being weighty and the foot cell becomes weighty.
+        sites = []
+        for n in (4, 5):
+            for w in symmetric_group(n):
+                for m in mvpd_set(w):
+                    for i, j, foot_row in droop_sites(m, w):
+                        sites.append(m.tile(i, j))
+                        before = weighty_cells(m)
+                        after = weighty_cells(drooped(m, i, j, w))
+                        site, foot, landing = (i, j), (foot_row, j), (foot_row, j + 1)
+                        assert after == (before - {site, landing}) | {foot}
+        assert len(sites) == 625
+        assert sites.count(Tile.CROSS) == 8 and Tile.MARKED_SE in sites
 
 
 class TestStep:
@@ -149,14 +177,25 @@ class TestFindPattern:
         saturated_non_top = [
             m
             for m in mvpd_set(W2413)
-            if not is_top(m, W2413) and find_upgrade(m, W2413) is None
+            if not is_top(m, W2413) and find_upgrade(m, trace(m), W2413) is None
         ]
         assert len(saturated_non_top) == 1
-        assert find_pattern(saturated_non_top[0], W2413) == (1, 2)
+        m = saturated_non_top[0]
+        assert find_pattern(m, trace(m), W2413) == (1, 2)
 
     def test_lowest_then_rightmost(self):
         m = mvpd(5, EX59_TEXT)
-        assert find_pattern(m, W14253_INV) == (1, 1)
+        assert find_pattern(m, trace(m), W14253_INV) == (1, 1)
+
+    def test_fake_cross_last(self):
+        # The left witness has no bump or elbow with a horizontal on its
+        # right; its lowest, then rightmost, fake cross that passes the
+        # droop preconditions is (2,3).
+        w, m = fake_cross_input("left-n6")
+        tr = trace(m)
+        assert find_upgrade(m, tr, w) is None
+        assert m.tile(2, 3) is Tile.CROSS and tr.cells[(2, 3)][2] == tr.cells[(2, 3)][0]
+        assert find_pattern(m, tr, w) == (2, 3)
 
 
 class TestConstructUp:
@@ -179,7 +218,7 @@ class TestConstructUp:
         w = W14253_INV
         assert w.inverse.letters == (1, 4, 2, 5, 3)
         m = mvpd(5, EX59_TEXT)
-        assert is_member(m, w) and find_upgrade(m, w) is None and not is_top(m, w)
+        assert is_member(m, w) and find_upgrade(m, trace(m), w) is None and not is_top(m, w)
         cert = construct_up(m, w)
         assert [s.op for s in cert.steps] == ["droop_prime", "droop_prime"]
         assert [s.cell for s in cert.steps] == [(1, 1), (2, 2)]
@@ -188,7 +227,7 @@ class TestConstructUp:
         # The intermediate diagram keeps the weight and stays saturated.
         mid = drooped(m, 1, 1, w)
         assert row_weight(w, mid) == row_weight(w, m)
-        assert find_upgrade(mid, w) is None
+        assert find_upgrade(mid, trace(mid), w) is None
 
     def test_rejects_top_input(self):
         for m in mvpd_set(W2413):
@@ -241,6 +280,7 @@ class TestConstructUp:
 
         monkeypatch.setattr(construct, "_member_trace", recording_member_trace)
         inputs = [(W14253_INV, mvpd(5, EX59_TEXT))]
+        inputs += [fake_cross_input(name) for name in ("right-n6", "left-n6")]
         for w in symmetric_group(4):
             if w.is_inverse_fireworks():
                 inputs.extend((w, m) for m in mvpd_set(w) if not is_top(m, w))
@@ -251,12 +291,14 @@ class TestConstructUp:
             assert cert.input in checked and cert.output in checked
             assert len(checked) == len(set(checked)), m.render_text()
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, "fake-cross"])
     def test_traces_once_per_diagram(self, monkeypatch, n):
         # One trace for the input, then one for the output of each step
-        # applied or tried; nothing is traced twice.
+        # applied or tried, and one more per droop at a fake cross, where
+        # locate_droop_site tells a fake cross from a real one.
         traces = []
         tried = []
+        fake_cross_droops = []
         plain_trace, plain_apply = diagrams.trace, Step._apply
 
         def counting_trace(d):
@@ -265,24 +307,57 @@ class TestConstructUp:
 
         def counting_apply(step, d, w):
             tried.append(step)
+            if step.op == "droop_prime" and d.tile(*step.cell) is Tile.CROSS:
+                fake_cross_droops.append(step)
             return plain_apply(step, d, w)
 
         monkeypatch.setattr(diagrams, "trace", counting_trace)
         monkeypatch.setattr(construct, "trace", counting_trace)
         monkeypatch.setattr(Step, "_apply", counting_apply)
-        calls = 0
-        for w in symmetric_group(n):
-            if not w.is_inverse_fireworks():
-                continue
-            for m in mvpd_set(w):
-                if is_top(m, w):
-                    continue
-                traces.clear()
-                tried.clear()
-                construct_up(m, w)
-                assert len(traces) == 1 + len(tried), m.render_text()
-                calls += 1
-        assert calls
+        if n == "fake-cross":
+            inputs = [fake_cross_input(name) for name in FAKE_CROSS_INPUTS]
+        else:
+            inputs = [
+                (w, m)
+                for w in symmetric_group(n)
+                if w.is_inverse_fireworks()
+                for m in mvpd_set(w)
+                if not is_top(m, w)
+            ]
+        fake_cross_inputs = 0
+        for w, m in inputs:
+            traces.clear()
+            tried.clear()
+            fake_cross_droops.clear()
+            construct_up(m, w)
+            assert len(traces) == 1 + len(tried) + len(fake_cross_droops), m.render_text()
+            fake_cross_inputs += bool(fake_cross_droops)
+        assert inputs
+        # Below n = 6 no input needs a fake-cross droop.
+        assert fake_cross_inputs == (len(inputs) if n == "fake-cross" else 0)
+
+    @pytest.mark.parametrize("name", list(FAKE_CROSS_INPUTS))
+    def test_fake_cross_certificates(self, name):
+        w, m = fake_cross_input(name)
+        cert = construct_up(m, w)
+        assert [(s.op, s.cell) for s in cert.steps] == FAKE_CROSS_INPUTS[name][2]
+        assert cert.gained_row == 3
+        assert weight(cert.output) == weight(m).times_x(3)
+        replay = m
+        for step in cert.steps:
+            replay = step.apply(replay, w)
+        assert replay == cert.output
+
+    def test_revisit_raises(self, monkeypatch):
+        # A step that returns its input would loop forever; the chain guard
+        # stops it at the first repeat.
+        def idle_apply(step, d, w):
+            return d, trace(d)
+
+        monkeypatch.setattr(Step, "_apply", idle_apply)
+        m = mvpd(5, EX59_TEXT)
+        with pytest.raises(DiagramError, match="revisits a diagram"):
+            construct_up(m, W14253_INV)
 
     def test_certificate_json(self):
         m = mvpd(5, EX59_TEXT)

@@ -256,6 +256,24 @@ class TestMembership:
                 assert is_member(d, w)
                 assert len(calls) == 1
 
+    def test_code_computed_once_per_permutation(self, monkeypatch):
+        # Each diagram checked reads w's code, which is computed once for
+        # w and for every Perm equal to it.
+        columns = []
+        plain = Perm.column_code
+
+        def counting_column_code(self):
+            columns.append(self)
+            return plain(self)
+
+        monkeypatch.setattr(Perm, "column_code", counting_column_code)
+        diagrams.code_of.cache_clear()
+        w = Perm.from_one_line([2, 4, 1, 3])
+        ds = mvpd_set(w)
+        assert len(ds) > 1
+        assert all(is_member(d, Perm(w.letters)) for d in ds)
+        assert columns == [w]
+
 
 def crossings(d, tr):
     """{cross cell: (west in, south in, real)}; a crossing is real iff its

@@ -213,22 +213,23 @@ class TestTopSets:
 class TestSaturation:
     def test_tops_are_saturated(self):
         for m in top_mvpd_set(W2413):
-            assert find_upgrade(m, W2413) is None
+            assert find_upgrade(m, trace(m), W2413) is None
 
     def test_markable_elbow_upgrade(self):
         m = parse_mvpd(4, "-JrJ\n--J.\n....\n....")
-        step, out = find_upgrade(m, W2413)
+        step, out, out_tr = find_upgrade(m, trace(m), W2413)
         assert step == Step("mark", (1, 3)) and out.tile(1, 3) is Tile.MARKED_SE
+        assert out_tr == trace(out)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_upgrade_gains_one_weighty_tile_in_its_row(self, n):
         for w in symmetric_group(n):
             for m in mvpd_set(w):
-                up = find_upgrade(m, w)
+                up = find_upgrade(m, trace(m), w)
                 if up is None:
                     continue
-                step, m2 = up
-                assert m2 == step.apply(m, w)
+                step, m2, tr2 = up
+                assert m2 == step.apply(m, w) and tr2 == trace(m2)
                 assert is_member(m2, w)
                 assert weighty_cells(m2) == weighty_cells(m) | {step.cell}
 
@@ -266,7 +267,7 @@ class TestSaturation:
         for n in (3, 4):
             for w in symmetric_group(n):
                 for m in mvpd_set(w):
-                    if find_upgrade(m, w) is not None:
+                    if find_upgrade(m, trace(m), w) is not None:
                         continue
                     tr = trace(m)
 
