@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
@@ -37,8 +37,9 @@ class DiagramError(Exception):
 
 
 class Tile(Enum):
-    """Cell contents: the value is the one-character render glyph, and
-    ``sides`` the edges (of W, E, S, N) that the tile's strands meet."""
+    """Cell contents: the value, and ``glyph``, is the one-character render
+    glyph, and ``sides`` the edges (of W, E, S, N) that the tile's strands
+    meet."""
 
     BLANK = ".", ""
     HORIZONTAL = "-", "WE"  # west-east strand
@@ -48,20 +49,30 @@ class Tile(Enum):
     BUMP = "b", "WESN"  # west-to-north plus south-to-east (the strands touch)
     MARKED_SE = "R", "SE"  # south-to-east arc carrying a mark
 
+    glyph: str
     sides: frozenset[str]
 
     def __new__(cls, glyph: str, sides: str) -> Tile:
         tile = object.__new__(cls)
         tile._value_ = glyph
-        # A plain attribute: the tracer reads it per cell, where hashing an
-        # enum member into a table would cost a Python-level __hash__.
+        # Plain attributes: the tracer and the renderer read them per cell,
+        # where hashing an enum member into a table would cost a
+        # Python-level __hash__, and ``Tile.value`` an enum descriptor call.
+        tile.glyph = glyph
         tile.sides = frozenset(sides)
         return tile
 
     def has(self, side: str) -> bool:
         return side in self.sides
 
-_CHAR_TO_TILE: dict[str, Tile] = {t.value: t for t in Tile}
+
+_CHAR_TO_TILE: dict[str, Tile] = {t.glyph: t for t in Tile}
+
+
+def _row_text(row: Iterable[Tile]) -> str:
+    """The glyphs of one row of tiles: the one reader of a row's text."""
+    return "".join([t.glyph for t in row])
+
 
 # The tiles that per-cell loops compare against, bound once.  On Python 3.10
 # and 3.11 the enum metaclass has a ``__getattr__`` hook, which makes every
@@ -146,12 +157,12 @@ class Diagram:
     def tile(self, i: int, j: int) -> Tile:
         return self.tiles[i - 1][j - 1]
 
-    @cached_property
+    @property
     def entering_rows(self) -> frozenset[int]:
         """Rows at which a pipe enters the left edge."""
-        if self.cols == 0:
-            return frozenset()
-        return frozenset(i for i in range(1, self.rows + 1) if self.tile(i, 1).has("W"))
+        return frozenset(
+            i for i, row in enumerate(self.tiles, start=1) if row and row[0].has("W")
+        )
 
     def cells(self) -> Iterator[tuple[int, int, Tile]]:
         for i in range(1, self.rows + 1):
@@ -165,7 +176,7 @@ class Diagram:
         return Diagram(self.kind, self.n, tuple(tuple(r) for r in grid))
 
     def render_text(self) -> str:
-        return "\n".join("".join(t.value for t in row) for row in self.tiles)
+        return "\n".join(map(_row_text, self.tiles))
 
     def __str__(self) -> str:
         return self.render_text()
@@ -192,7 +203,7 @@ class Diagram:
         return {
             "kind": self.kind.value,
             "n": self.n,
-            "rows": ["".join(t.value for t in row) for row in self.tiles],
+            "rows": list(map(_row_text, self.tiles)),
         }
 
     @classmethod
@@ -257,14 +268,16 @@ def trace(d: Diagram) -> TraceResult:
     """Propagate pipe labels cell by cell, bottom-to-top, left-to-right,
     through ``_exits``."""
     rows, cols = d.rows, d.cols
-    entering = d.entering_rows
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
     cells: dict[tuple[int, int], CellLabels] = {}
     lowest: dict[int, int] = {}
     crossed: set[frozenset[int]] = set()
     for i in range(rows, 0, -1):
-        west = i if i in entering else 0
-        for j, t in enumerate(d.tiles[i - 1], start=1):
+        row = d.tiles[i - 1]
+        # The pipe entering the row is read off its first tile, as in
+        # ``entering_rows`` (an n = 1 BVPD has empty rows).
+        west = i if row and "W" in row[0].sides else 0
+        for j, t in enumerate(row, start=1):
             s_in = south[j]
             sides = t.sides
             if (not west) == ("W" in sides):
@@ -376,6 +389,25 @@ def _member_trace(d: Diagram, w: Perm) -> TraceResult | None:
 MAX_FILL_N = 28
 
 
+@lru_cache(maxsize=None)
+def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple], ...]:
+    """``members``' cells in the tracer's order, each as (i, j, opts) with
+    its unmarked tiles in four slots, opts[takes a west pipe][takes a south
+    pipe].  Read off ``_alphabets``, it is likewise a function of the
+    species and the size alone."""
+    rows, cols = grid_shape(kind, n)
+    alphabets = _alphabets(kind, n)
+    plan = []
+    for i in range(rows, 0, -1):
+        for j in range(1, cols + 1):
+            opts: tuple[tuple[list[Tile], ...], ...] = (([], []), ([], []))
+            for t in alphabets[(i - 1) * cols + j - 1]:
+                if t is not _MARKED_SE:
+                    opts["W" in t.sides]["S" in t.sides].append(t)
+            plan.append((i, j, tuple(tuple(map(tuple, by_s)) for by_s in opts)))
+    return tuple(plan)
+
+
 def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     """The unmarked diagrams of w in the species, in canonical order.
 
@@ -385,35 +417,39 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     east, so a tile is dead when it sends a label r east out of column j with
     t(r) < j + 1, or north with t(r) < j, where t(r) is the column at which r
     must leave the top edge; in row 1 the north label must be the code entry.
-    Every complete filling therefore reads w's code, with no trace after."""
+    Every complete filling therefore reads w's code, with no trace after.
+
+    The cells and each cell's tiles, split by whether they take a west and a
+    south pipe, come from ``_fill_plan(kind, n)``.  It is built once per
+    species and size and holds nothing of w: which pipes enter, where they
+    must leave and which pairs have crossed are this call's own state, so
+    one plan serves every w of that size."""
     if w.n > MAX_FILL_N:
         raise ValueError(f"n={w.n} above the fill's depth bound {MAX_FILL_N}")
     code = code_of(kind, w)
     rows, cols = grid_shape(kind, w.n)
+    plan = _fill_plan(kind, w.n)
+    last = len(plan)
     entering = code.pipes
-    exit_col = {r: c for c, r in enumerate(code.entries, start=1) if r}
+    exit_col = [0] * (w.n + 1)  # exit_col[r]: the column at which label r leaves the top
+    for c, r in enumerate(code.entries, start=1):
+        if r:
+            exit_col[r] = c
     top = (0,) + code.entries  # top[j]: the label leaving column j's top edge
-    cells = [(i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1)]
-    # The unmarked tiles of each cell, by whether they take a west and a south pipe.
-    choices: dict[tuple[int, int, bool, bool], list[Tile]] = {}
-    for i, j in cells:
-        for t in allowed_tiles(kind, w.n, i, j):
-            if t is not Tile.MARKED_SE:
-                choices.setdefault((i, j, t.has("W"), t.has("S")), []).append(t)
     grid = [[Tile.BLANK] * cols for _ in range(rows)]
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
     crossed: set[frozenset[int]] = set()
     found: list[Diagram] = []
 
     def fill(k: int, west: int) -> None:
-        if k == len(cells):
-            found.append(Diagram(kind, w.n, tuple(tuple(r) for r in grid)))
+        if k == last:
+            found.append(Diagram(kind, w.n, tuple(map(tuple, grid))))
             return
-        i, j = cells[k]
+        i, j, opts = plan[k]
         if j == 1:
             west = i if i in entering else 0
         s_in = south[j]
-        for t in choices.get((i, j, bool(west), bool(s_in)), ()):
+        for t in opts[west > 0][s_in > 0]:
             n_out, e_out = _exits(t, west, s_in, crossed)
             fresh = t is _CROSS and n_out == s_in  # this tile crossed its pair
             alive = (

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from itertools import combinations
@@ -38,6 +40,12 @@ def parse(kind, n, text):
 class TestTiles:
     def test_glyphs(self):
         assert "".join(t.value for t in Tile) == ".-+JrbR"
+
+    def test_glyph_is_the_value(self):
+        # ``glyph`` is set in ``Tile.__new__``; the renderer and the parser
+        # read it in place of ``value``.
+        for t in Tile:
+            assert type(t.glyph) is str and t.glyph == t.value
 
     def test_connections(self):
         sides = {t: frozenset(s for s in "WESN" if t.has(s)) for t in Tile}
@@ -324,6 +332,18 @@ class TestTrace:
         assert set(tr.cells) == {(i, j) for i, j, _ in d.cells()}
         assert set(tr.lowest_horizontal) <= set(d.entering_rows)
 
+    def test_tracing_stores_nothing_on_the_diagram(self):
+        # Fresh copies: the cached members may have been traced already.
+        one = Perm.identity(1)
+        for w, ds in [*species_members(3), (one, members(Kind.BVPD, one))]:
+            for d in ds:
+                d = Diagram(d.kind, d.n, d.tiles)
+                before = dict(vars(d))
+                trace(d)
+                assert vars(d) == before
+                assert is_member(d, w)
+                assert vars(d) == before
+
     def test_real_crossing_pairs_unique(self):
         for w in symmetric_group(4):
             for d in pd_set(w):
@@ -454,3 +474,30 @@ class TestPrunedFill:
                 if kind is not Kind.BVPD or w.is_inverse_fireworks():
                     assert members(kind, w)
         assert len(members(Kind.MVPD, Perm.from_one_line([7, 6, 5, 4, 3, 2, 1]))) == 1
+
+    def test_canonical_order_digest(self):
+        # Pins every diagram and its place in the canonical order for all w
+        # of S_1..S_5, independent of the string hash seed.
+        h = hashlib.sha256()
+        for n in range(1, 6):
+            for w in symmetric_group(n):
+                kinds = [Kind.PD, Kind.MVPD] + [Kind.BVPD] * w.is_inverse_fireworks()
+                for kind in kinds:
+                    for d in members(kind, w):
+                        h.update(d.render_text().encode() + b"|")
+                    h.update(b"#")
+        assert h.hexdigest() == "1ecacd1f296d61e70fec509c397c4417800862043c003b166c2cf2a2e7a132fa"
+
+    def test_one_plan_per_kind_and_size(self):
+        # The w of S_4 taken from both ends in turn, each filled twice: a
+        # plan that kept anything of one w would break a later fill.
+        diagrams._fill_plan.cache_clear()
+        for kind in Kind:
+            ws = [
+                w for w in symmetric_group(4) if kind is not Kind.BVPD or w.is_inverse_fireworks()
+            ]
+            want = oracle_members(kind, ws)
+            for a, b in zip(ws, reversed(ws)):
+                assert members(kind, a) == want[a], a
+                assert members(kind, b) == want[b], b
+        assert diagrams._fill_plan.cache_info().currsize == len(Kind)
