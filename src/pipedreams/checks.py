@@ -24,7 +24,6 @@ from .construct import construct_up
 from .diagrams import DiagramError, sort_key, weight, weighty_cells
 from .mvpd import (
     double_grothendieck_via_mvpd,
-    enumerate_mvpd_direct,
     grothendieck_via_mvpd,
     is_top,
     mvpd_set,
@@ -39,6 +38,7 @@ from .pipedream import (
     grothendieck,
     max_cross_count,
     pd_set,
+    require_pd_bound,
     top_grothendieck,
     top_pd_set,
 )
@@ -79,7 +79,7 @@ def _polynomial_routes_agree(report: SweepReport, w: Perm) -> None:
 
 def _removal_bijection(report: SweepReport, w: Perm) -> None:
     """The pipe-removal map is a weight-preserving bijection onto the
-    directly enumerated marked set, with exact round trips."""
+    directly filled marked set, with exact round trips."""
     pds = pd_set(w)
     ms = [pd_to_mvpd(p, w) for p in pds]
     if len(set(ms)) != len(pds):
@@ -89,7 +89,7 @@ def _removal_bijection(report: SweepReport, w: Perm) -> None:
             report.fail(f"w={w}: weighty cells moved\n{p.render_text()}")
         if mvpd_to_pd(m, w) != p:
             report.fail(f"w={w}: round trip broke\n{p.render_text()}")
-    if tuple(sorted(ms, key=sort_key)) != enumerate_mvpd_direct(w):
+    if tuple(sorted(ms, key=sort_key)) != mvpd_set(w):
         report.fail(f"w={w}: image differs from direct enumeration")
 
 
@@ -216,9 +216,11 @@ CHECKS: dict[str, tuple[Callable[[SweepReport, Perm], None], bool]] = {
 
 def run_check(name: str, n: int, inverse_fireworks_only: bool = False) -> SweepReport:
     """Sweep one check over its domain in S_n, narrowed to the inverse
-    fireworks permutations on request."""
+    fireworks permutations on request.  Every check reads pipe dreams, so an
+    n above their bound is refused before the sweep starts."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
+    require_pd_bound(n)
     body, fireworks_domain = CHECKS[name]
     report = SweepReport(name, n)
     for w in symmetric_group(n):

@@ -23,7 +23,7 @@ from .bvpd import (
 from .checks import CHECKS, run_check
 from .construct import construct_up
 from .diagrams import Diagram, DiagramError, Kind
-from .mvpd import enumerate_mvpd_direct, mvpd_to_pd, pd_to_mvpd
+from .mvpd import mvpd_set, mvpd_to_pd, pd_to_mvpd
 from .permutations import Perm
 from .pipedream import double_grothendieck, grothendieck, pd_set, top_grothendieck
 from .polynomials import Poly
@@ -98,9 +98,9 @@ def _cmd_top(args) -> int:
     return 0
 
 
-# Each species' diagrams of w.  The MVPDs are filled directly, so they need
-# no pipe dreams at any n (prop36 checks them against the pipe dreams' image).
-_DIAGRAM_SETS = {"pd": pd_set, "mvpd": enumerate_mvpd_direct, "bvpd": enumerate_bvpd}
+# Each species' diagrams of w.  The MVPDs are filled directly, free of the
+# pipe dreams and their bound; prop36 checks them against the PDs' image.
+_DIAGRAM_SETS = {"pd": pd_set, "mvpd": mvpd_set, "bvpd": enumerate_bvpd}
 
 
 def _cmd_enumerate(args) -> int:

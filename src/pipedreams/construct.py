@@ -22,11 +22,10 @@ from .diagrams import (
     TraceResult,
     _member_trace,
     trace,
-    weighty_cells,
+    weight,
 )
 from .mvpd import is_top
 from .permutations import Perm
-from .polynomials import Monomial
 
 
 def locate_droop_site(d: Diagram, i: int, j: int) -> int:
@@ -218,8 +217,8 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
     if is_top(d, w):
         raise ValueError("input diagram already has maximal weight")
     chain, steps = [d], []
-    start_cells = cells = weighty_cells(d)
-    while len(cells) <= len(start_cells):
+    start = got = weight(d)
+    while got.degree <= start.degree:
         # tr is d's checked trace: the input's, then each step output's.
         upgrade = find_upgrade(d, tr, w)
         if upgrade is None:
@@ -231,14 +230,12 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
             raise DiagramError(f"{step} revisits a diagram of its chain")
         chain.append(d)
         steps.append(step)
-        cells = weighty_cells(d)
-    return _finish(w, chain, steps, start_cells, cells)
+        got = weight(d)
+    return _finish(w, chain, steps, start, got)
 
 
-def _finish(w, chain, steps, start_cells, cells) -> Certificate:
-    """Certify a checked chain once its weight is the input's times x_i."""
-    want = Monomial.from_rows(w.n, (i for i, _ in start_cells))
-    got = Monomial.from_rows(w.n, (i for i, _ in cells))
+def _finish(w, chain, steps, want, got) -> Certificate:
+    """Certify a checked chain once its weight ``got`` is ``want`` times x_i."""
     row = next(i for i, (a, b) in enumerate(zip(want.x, got.x), start=1) if b > a)
     if want.times_x(row) != got:
         raise DiagramError(f"constructed weight {got.text()} is not the input weight times x{row}")

@@ -492,8 +492,10 @@ def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
 
 
 def weight(d: Diagram) -> Monomial:
-    """Row-product monomial of the weight-bearing tiles."""
-    return Monomial.from_rows(d.n, (i for i, _ in weighty_cells(d)))
+    """Row-product monomial of the weight-bearing tiles, counted row by row;
+    its ``degree`` is the diagram's weighty-tile count."""
+    weighty = WEIGHTY[d.kind].__contains__
+    return Monomial(tuple([sum(map(weighty, row)) for row in d.tiles]), (0,) * d.n)
 
 
 def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -> Poly:
@@ -507,25 +509,21 @@ def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -
     expanded once.  Raises ``ValueError`` for a diagram of another size."""
     n = w.n
     ell = w.inversions()
-    # Signs summed per key: the exponent tuple (the x block, then the y
-    # block) of a single weight, or the column-major weighty cells of a
-    # double one.
+    # Signs summed per key: the weight of a single sum, or the column-major
+    # weighty cells of a double one.
     groups: dict[tuple, int] = {}
     for d in ds:
         if d.n != n:
             raise ValueError(f"a diagram of size {d.n} in the weight sum of a size-{n} w")
-        cells = weighty_cells(d)
-        sign = -1 if (len(cells) - ell) % 2 else 1
         if double:
-            key = tuple(sorted((j, i) for i, j in cells))
+            key = tuple(sorted((j, i) for i, j in weighty_cells(d)))
+            k = len(key)
         else:
-            e = [0] * (2 * n)
-            for i, _ in cells:
-                e[i - 1] += 1
-            key = tuple(e)
-        groups[key] = groups.get(key, 0) + sign
+            key = weight(d)
+            k = key.degree
+        groups[key] = groups.get(key, 0) + (-1 if (k - ell) % 2 else 1)
     if not double:
-        return Poly(n, {Monomial(e[:n], e[n:]): c for e, c in groups.items()})
+        return Poly(n, groups)
 
     # A term is one int with a field of `width` bits per variable, x_1..x_n
     # then y_1..y_n.  An exponent counts the weighty cells of one row or one

@@ -1,10 +1,11 @@
 """Marked vertical-less diagrams and the pipe-removal bijection with PDs.
 
-A pipe dream maps to a marked vertical-less diagram by deleting the logical
-paths of the pipes labelled by left-to-right maxima of the inverse
-permutation; a cross that loses its north-bound strand keeps the surviving
-south-to-east arc as a *marked* elbow.  The inverse map is a cell-local
-rewrite.
+``mvpd_set`` fills the marked diagrams of w directly.  A pipe dream maps to
+one by deleting the logical paths of the pipes labelled by left-to-right
+maxima of the inverse permutation; a cross that loses its north-bound
+strand keeps the surviving south-to-east arc as a *marked* elbow.  The
+inverse map is a cell-local rewrite; prop36 checks that the two are a
+bijection between the pipe dreams and ``mvpd_set``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .diagrams import (
     signed_weight_sum,
     sort_key,
     trace,
+    weight,
     weighty_cells,
 )
 from .permutations import Perm
-from .pipedream import max_cross_count, pd_from_crosses, pd_set
+from .pipedream import max_cross_count, pd_from_crosses
 from .polynomials import Poly
 
 
@@ -86,14 +88,8 @@ def _mvpd_to_pd(d: Diagram) -> Diagram:
 
 @lru_cache(maxsize=None)
 def mvpd_set(w: Perm) -> tuple[Diagram, ...]:
-    """The marked vertical-less diagrams of w, as the image of its pipe dreams."""
-    return tuple(sorted((pd_to_mvpd(d, w) for d in pd_set(w)), key=sort_key))
-
-
-@lru_cache(maxsize=None)
-def enumerate_mvpd_direct(w: Perm) -> tuple[Diagram, ...]:
-    """Independent oracle: backtrack the unmarked diagrams of w, then expand
-    every subset of markable elbows."""
+    """The marked vertical-less diagrams of w, in canonical order: backtrack
+    the unmarked ones, then mark every subset of their markable elbows."""
     out = []
     for d in members(Kind.MVPD, w):
         tr = trace(d)
@@ -115,7 +111,7 @@ def double_grothendieck_via_mvpd(w: Perm) -> Poly:
 def tile_census_identity(d: Diagram, w: Perm) -> bool:
     """weighty + bumps + unmarked elbows always add up to the pipe travel."""
     k = sum(1 for _, _, t in d.cells() if t in (Tile.BUMP, Tile.ELBOW_SE))
-    return len(weighty_cells(d)) + k == w.pipe_travel()
+    return weight(d).degree + k == w.pipe_travel()
 
 
 def is_top(d: Diagram, w: Perm) -> bool:
@@ -127,7 +123,7 @@ def is_top(d: Diagram, w: Perm) -> bool:
     """
     if w.is_inverse_fireworks():
         return not any(t in (Tile.BUMP, Tile.ELBOW_SE) for _, _, t in d.cells())
-    return len(weighty_cells(d)) == max_cross_count(w)
+    return weight(d).degree == max_cross_count(w)
 
 
 def top_mvpd_set(w: Perm) -> tuple[Diagram, ...]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .diagrams import Diagram, Kind, Tile, members, signed_weight_sum, weighty_cells
+from .diagrams import Diagram, Kind, Tile, members, signed_weight_sum, weight
 from .permutations import Perm, symmetric_group
 from .polynomials import Poly
 
@@ -44,11 +44,16 @@ def pd_from_crosses(n: int, crosses: frozenset[tuple[int, int]]) -> Diagram:
     return Diagram(Kind.PD, n, tuple(grid))
 
 
+def require_pd_bound(n: int) -> None:
+    """Refuse a size whose pipe dreams lie above ``MAX_N``."""
+    if n > MAX_N:
+        raise ValueError(f"n={n} above the pipe-dream bound {MAX_N}")
+
+
 @lru_cache(maxsize=None)
 def pd_set(w: Perm) -> tuple[Diagram, ...]:
     """All pipe dreams whose traced top reading is the inverse of w."""
-    if w.n > MAX_N:
-        raise ValueError(f"n={w.n} above the pipe-dream bound {MAX_N}")
+    require_pd_bound(w.n)
     return members(Kind.PD, w)
 
 
@@ -74,13 +79,13 @@ def double_grothendieck(w: Perm) -> Poly:
 def max_cross_count(w: Perm) -> int:
     """Largest cross count over the pipe dreams of w (the degree of its
     signed weight sum); computed by enumeration."""
-    return max(len(weighty_cells(d)) for d in pd_set(w))
+    return max(weight(d).degree for d in pd_set(w))
 
 
 def top_pd_set(w: Perm) -> tuple[Diagram, ...]:
     """The pipe dreams of w attaining the maximal cross count."""
     best = max_cross_count(w)
-    return tuple(d for d in pd_set(w) if len(weighty_cells(d)) == best)
+    return tuple(d for d in pd_set(w) if weight(d).degree == best)
 
 
 def top_grothendieck(w: Perm) -> Poly:

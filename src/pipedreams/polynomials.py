@@ -7,7 +7,7 @@ all outputs are stable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 
 class Monomial(NamedTuple):
@@ -18,16 +18,6 @@ class Monomial(NamedTuple):
 
     x: tuple[int, ...]
     y: tuple[int, ...]
-
-    @classmethod
-    def from_rows(cls, n: int, rows: Iterable[int]) -> Monomial:
-        """x_i exponent = multiplicity of i among ``rows``; no y part."""
-        xs = [0] * n
-        for i in rows:
-            if not 1 <= i <= n:
-                raise ValueError(f"row {i} out of range 1..{n}")
-            xs[i - 1] += 1
-        return cls(tuple(xs), (0,) * n)
 
     @property
     def n(self) -> int:

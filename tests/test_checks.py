@@ -3,6 +3,7 @@ import pytest
 from pipedreams import checks
 from pipedreams.checks import CHECKS, run_check
 from pipedreams.permutations import symmetric_group
+from pipedreams.pipedream import MAX_N
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -53,3 +54,15 @@ def test_planted_degree_fails_both_support_checks(monkeypatch):
         assert len(report.failures) == 6, name
         assert all(witness in f for f in report.failures), name
 
+
+def test_the_pipe_dream_bound_comes_before_the_sweep(monkeypatch):
+    # The MVPDs are filled at any n and lemma46's body reads no pipe dream,
+    # so a sweep that started would run on past the bound: none may start.
+    def no_body(report, w):
+        raise AssertionError("a check body ran above the pipe-dream bound")
+
+    for name, (_, fireworks_domain) in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, name, (no_body, fireworks_domain))
+    for name in CHECKS:
+        with pytest.raises(ValueError, match=f"n={MAX_N + 1} above the pipe-dream bound {MAX_N}"):
+            run_check(name, MAX_N + 1)

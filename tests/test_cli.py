@@ -7,8 +7,8 @@ from pipedreams import checks, cli, diagrams, pipedream
 from pipedreams.checks import CHECKS
 from pipedreams.construct import Step
 from pipedreams.cli import main
-from pipedreams.diagrams import DiagramError
-from pipedreams.mvpd import enumerate_mvpd_direct, mvpd_set
+from pipedreams.diagrams import DiagramError, Kind, members, sort_key
+from pipedreams.mvpd import mvpd_set, pd_to_mvpd
 from pipedreams.permutations import Perm
 
 
@@ -63,19 +63,26 @@ class TestTop:
         assert out.strip() == "x1^2*x2*x3"
 
 
+def removal_text(pds, w):
+    """The removal map's image of ``pds``, rendered as ``enumerate`` prints
+    it: the second route to the directly filled MVPDs."""
+    image = sorted((pd_to_mvpd(p, w) for p in pds), key=sort_key)
+    return "\n\n".join(d.render_text() for d in image)
+
+
 class TestEnumerate:
-    def test_mvpd_above_the_bound_uses_the_direct_oracle(self, capsys):
+    def test_mvpd_above_the_pd_bound_matches_the_removal_image(self, capsys):
+        # pd_set refuses n = 7, so the pipe dreams come from the fill itself.
         w = Perm.from_one_line([1, 2, 3, 4, 5, 7, 6])
         code, out, _ = run(capsys, "enumerate", "--kind", "mvpd", "--w", "1,2,3,4,5,7,6")
         assert code == 0
-        assert out.strip() == "\n\n".join(d.render_text() for d in enumerate_mvpd_direct(w))
+        assert out.strip() == removal_text(members(Kind.PD, w), w)
 
     def test_mvpd_needs_no_index(self, capsys, monkeypatch):
         # The MVPDs are filled directly: no pipe dream is filled on the way.
         w = Perm.from_one_line([1, 2, 3, 4, 6, 5])
-        want = "\n\n".join(d.render_text() for d in mvpd_set(w))
+        want = removal_text(pipedream.pd_set(w), w)
         mvpd_set.cache_clear()
-        enumerate_mvpd_direct.cache_clear()
         pipedream.pd_set.cache_clear()
 
         def no_fill(*args, **kwargs):
@@ -85,6 +92,7 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--kind", "mvpd", "--w", "1,2,3,4,6,5")
         assert code == 0
         assert out.strip() == want
+        assert pipedream.pd_set.cache_info().currsize == 0
 
     def test_bvpd_text(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "bvpd", "--w", "2,4,1,3")

@@ -20,6 +20,8 @@ from pipedreams.diagrams import (
     mark_violations,
     trace,
     validate,
+    weight,
+    weighty_cells,
 )
 from pipedreams.mvpd import mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
@@ -451,6 +453,19 @@ class TestEnumerateStructures:
         assert allowed_tiles(Kind.PD, 3, 1, 3) == (Tile.ELBOW_WN,)
         assert allowed_tiles(Kind.MVPD, 3, 3, 3) == (Tile.BLANK,)
         assert Tile.MARKED_SE not in allowed_tiles(Kind.BVPD, 4, 1, 1)
+
+
+class TestWeight:
+    def test_rows_count_the_weighty_cells(self):
+        # The row counts against the positions, over every species, marks
+        # included, and the n = 1 BVPD whose one row is empty.
+        (empty,) = members(Kind.BVPD, Perm.identity(1))
+        checked = [empty] + [d for n in range(1, 6) for _, ds in species_members(n) for d in ds]
+        for d in checked:
+            cells = weighty_cells(d)
+            rows = tuple(sum(1 for i, _ in cells if i == r) for r in range(1, d.n + 1))
+            assert weight(d) == (rows, (0,) * d.n), d
+        assert {d.kind for d in checked} == set(Kind)
 
 
 class TestPrunedFill:

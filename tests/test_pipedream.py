@@ -23,7 +23,7 @@ def displayed_product(n, cells):
     zero = (0,) * n
     out = Poly(n, {Monomial(zero, zero): 1})
     for i, j in cells:
-        x = Monomial.from_rows(n, [i])
+        x = Monomial(tuple(int(k == i) for k in range(1, n + 1)), zero)
         y = Monomial(zero, tuple(int(k == j) for k in range(1, n + 1)))
         out = out * Poly(n, {x: 1, y: 1, x * y: -1})
     return out

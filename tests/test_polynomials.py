@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pipedreams.diagrams import Diagram, Kind, Tile, signed_weight_sum
+from pipedreams.diagrams import Diagram, Kind, Tile, signed_weight_sum, weight
 from pipedreams.mvpd import mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import double_grothendieck, pd_from_crosses, pd_set
@@ -35,13 +35,10 @@ def polys(n=2, max_terms=4):
 
 class TestMonomial:
     def test_weight_monomial(self):
-        assert Monomial.from_rows(2, [1, 2, 2]) == mono(2, x1=1, x2=2)
-        assert Monomial.from_rows(2, []) == mono(2)
-        assert Monomial.from_rows(2, [1, 1, 2, 2]) == mono(2, x1=2, x2=2)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            Monomial.from_rows(2, [3])
+        # ``weight`` counts each row's weighty tiles.
+        assert weight(pd_from_crosses(3, {(1, 1), (2, 1), (1, 2)})) == mono(3, x1=2, x2=1)
+        assert weight(pd_from_crosses(3, set())) == mono(3)
+        assert weight(crosses_only_at(2, {(1, 1), (1, 2), (2, 1), (2, 2)})) == mono(2, x1=2, x2=2)
 
     def test_divides_and_times(self):
         a = mono(2, x1=1, x2=2)
