@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
+from operator import contains
 from typing import Iterable, Iterator, Mapping
 
 from .permutations import Code, Perm
@@ -39,7 +40,7 @@ class DiagramError(Exception):
 class Tile(Enum):
     """Cell contents: the value, and ``glyph``, is the one-character render
     glyph, and ``sides`` the edges (of W, E, S, N) that the tile's strands
-    meet."""
+    meet; ``west`` and ``south`` say whether they include W and S."""
 
     BLANK = ".", ""
     HORIZONTAL = "-", "WE"  # west-east strand
@@ -51,6 +52,8 @@ class Tile(Enum):
 
     glyph: str
     sides: frozenset[str]
+    west: bool
+    south: bool
 
     def __new__(cls, glyph: str, sides: str) -> Tile:
         tile = object.__new__(cls)
@@ -60,6 +63,8 @@ class Tile(Enum):
         # Python-level __hash__, and ``Tile.value`` an enum descriptor call.
         tile.glyph = glyph
         tile.sides = frozenset(sides)
+        tile.west = "W" in sides
+        tile.south = "S" in sides
         return tile
 
     def has(self, side: str) -> bool:
@@ -77,7 +82,8 @@ def _row_text(row: Iterable[Tile]) -> str:
 # The tiles that per-cell loops compare against, bound once.  On Python 3.10
 # and 3.11 the enum metaclass has a ``__getattr__`` hook, which makes every
 # ``Tile.X`` lookup several times dearer than reading a global.
-_HORIZONTAL, _CROSS, _ELBOW_WN, _ELBOW_SE, _MARKED_SE = (
+_BLANK, _HORIZONTAL, _CROSS, _ELBOW_WN, _ELBOW_SE, _MARKED_SE = (
+    Tile.BLANK,
     Tile.HORIZONTAL,
     Tile.CROSS,
     Tile.ELBOW_WN,
@@ -170,10 +176,17 @@ class Diagram:
                 yield i, j, self.tiles[i - 1][j - 1]
 
     def with_tiles(self, updates: Mapping[tuple[int, int], Tile]) -> Diagram:
-        grid = [list(row) for row in self.tiles]
+        """A copy with the tiles at the given (i, j) cells replaced; only the
+        rows holding an update are rebuilt."""
+        rows: dict[int, list[Tile]] = {}
         for (i, j), t in updates.items():
-            grid[i - 1][j - 1] = t
-        return Diagram(self.kind, self.n, tuple(tuple(r) for r in grid))
+            if i not in rows:
+                rows[i] = list(self.tiles[i - 1])
+            rows[i][j - 1] = t
+        grid = list(self.tiles)
+        for i, row in rows.items():
+            grid[i - 1] = tuple(row)
+        return Diagram(self.kind, self.n, tuple(grid))
 
     def render_text(self) -> str:
         return "\n".join(map(_row_text, self.tiles))
@@ -264,30 +277,50 @@ def _exits(t: Tile, w_in: int, s_in: int, crossed: set[frozenset[int]]) -> tuple
     return w_in, s_in  # a bump, a bouncing cross, or a blank (0, 0)
 
 
+@lru_cache(maxsize=None)
+def _trace_plan(kind: Kind, n: int) -> tuple[tuple[int, int], ...]:
+    """The cells of a grid in the tracer's order, bottom to top, left to
+    right: the keys of ``TraceResult.cells``, for every grid of the species
+    and size."""
+    rows, cols = grid_shape(kind, n)
+    return tuple((i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1))
+
+
+_NO_PIPE: CellLabels = (0, 0, 0, 0)
+
+
 def trace(d: Diagram) -> TraceResult:
     """Propagate pipe labels cell by cell, bottom-to-top, left-to-right,
-    through ``_exits``."""
+    through ``_exits``.
+
+    Each cell's labels are appended to one list in ``_trace_plan``'s order,
+    and ``cells`` is zipped from the two once the sweep is done.  A blank
+    that no pipe reaches is consistent and routes nothing, so it is labelled
+    without a call."""
     rows, cols = d.rows, d.cols
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
-    cells: dict[tuple[int, int], CellLabels] = {}
+    labels: list[CellLabels] = []
+    append = labels.append
     lowest: dict[int, int] = {}
     crossed: set[frozenset[int]] = set()
     for i in range(rows, 0, -1):
         row = d.tiles[i - 1]
         # The pipe entering the row is read off its first tile, as in
         # ``entering_rows`` (an n = 1 BVPD has empty rows).
-        west = i if row and "W" in row[0].sides else 0
+        west = i if row and row[0].west else 0
         for j, t in enumerate(row, start=1):
             s_in = south[j]
-            sides = t.sides
-            if (not west) == ("W" in sides):
+            if t is _BLANK and not (west or s_in):
+                append(_NO_PIPE)
+                continue
+            if (not west) == t.west:
                 raise DiagramError(f"({i},{j - 1})-({i},{j}): east/west edges disagree")
-            if (not s_in) == ("S" in sides):
+            if (not s_in) == t.south:
                 if i == rows:
                     raise DiagramError(f"({i},{j}): south connection leaves the grid")
                 raise DiagramError(f"({i},{j})-({i + 1},{j}): south/north edges disagree")
             n_out, e_out = _exits(t, west, s_in, crossed)
-            cells[(i, j)] = (west, s_in, n_out, e_out)
+            append((west, s_in, n_out, e_out))
             if t is _HORIZONTAL:
                 # The sweep runs bottom-up, so the first horizontal met is the lowest.
                 lowest.setdefault(west, i)
@@ -296,9 +329,9 @@ def trace(d: Diagram) -> TraceResult:
         if west:
             raise DiagramError(f"({i},{cols}): east connection leaves the grid")
     return TraceResult(
-        code=Code(tuple(south[1 : cols + 1]), d.n),
+        code=Code(tuple(south[1:]), d.n),
         crossed_pairs=frozenset(crossed),
-        cells=cells,
+        cells=dict(zip(_trace_plan(d.kind, d.n), labels)),
         lowest_horizontal=lowest,
     )
 
@@ -325,7 +358,9 @@ def _checked_trace(d: Diagram) -> tuple[list[str], TraceResult | None]:
     (``None`` when the tracer refused the grid)."""
     alphabets = _alphabets(d.kind, d.n)
     out = []
-    if not all(map(tuple.__contains__, alphabets, chain.from_iterable(d.tiles))):
+    # ``operator.contains`` is a builtin: mapped over the cells, it runs
+    # about twice as fast as the ``tuple.__contains__`` method descriptor.
+    if not all(map(contains, alphabets, chain.from_iterable(d.tiles))):
         out = [
             f"({i},{j}): {t.value!r} not allowed in a {d.kind.value} there"
             for (i, j, t), allowed in zip(d.cells(), alphabets)
@@ -380,7 +415,9 @@ def _member_trace(d: Diagram, w: Perm) -> TraceResult | None:
     if d.n != w.n:
         return None
     problems, tr = _checked_trace(d)
-    return tr if not problems and tr.code == code_of(d.kind, w) else None
+    # Both codes are of size d.n == w.n, so their entries decide equality.
+    ok = not problems and tr.code.entries == code_of(d.kind, w).entries
+    return tr if ok else None
 
 
 # The fill recurses once per cell, and a grid of size n has up to n^2 cells:
@@ -409,7 +446,13 @@ def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple], ...]:
 
 
 def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
-    """The unmarked diagrams of w in the species, in canonical order.
+    """The unmarked diagrams of w in the species, in canonical order."""
+    return tuple(sorted(_fill(kind, w), key=sort_key))
+
+
+def _fill(kind: Kind, w: Perm) -> list[Diagram]:
+    """``members`` in the order the fill meets them, for callers that sort
+    a larger list anyway.
 
     Cells are filled in ``trace``'s order (bottom to top, left to right), so
     each cell's west and south labels are known when its tile is picked, and
@@ -466,7 +509,7 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
         south[j] = s_in
 
     fill(0, 0)
-    return tuple(sorted(found, key=sort_key))
+    return found
 
 
 # The weight-bearing tiles of each species.  In a BVPD a pipe turns north

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from .diagrams import (
     Diagram,
     DiagramError,
     Kind,
     Tile,
+    _fill,
+    _row_text,
     code_of,
     is_member,
-    members,
     signed_weight_sum,
-    sort_key,
     trace,
     weight,
     weighty_cells,
@@ -89,15 +90,33 @@ def _mvpd_to_pd(d: Diagram) -> Diagram:
 @lru_cache(maxsize=None)
 def mvpd_set(w: Perm) -> tuple[Diagram, ...]:
     """The marked vertical-less diagrams of w, in canonical order: backtrack
-    the unmarked ones, then mark every subset of their markable elbows."""
-    out = []
-    for d in members(Kind.MVPD, w):
+    the unmarked ones, then mark every subset of their markable elbows.
+
+    An unmarked diagram stands for its empty subset, each marked variant
+    rebuilds only the rows it marks, and each diagram's sort key is
+    rendered once, reusing the text of the rows a variant leaves alone."""
+    elbow, marked = Tile.ELBOW_SE, Tile.MARKED_SE
+    keyed: list[tuple[str, Diagram]] = []
+    for d in _fill(Kind.MVPD, w):
+        texts = [_row_text(row) for row in d.tiles]
+        keyed.append(("\n".join(texts), d))
         tr = trace(d)
-        markable = [(i, j) for i, j, t in d.cells() if t is Tile.ELBOW_SE and tr.markable(i, j)]
-        for k in range(len(markable) + 1):
+        markable = [
+            (i, j)
+            for i, row in enumerate(d.tiles, start=1)
+            if elbow in row
+            for j, t in enumerate(row, start=1)
+            if t is elbow and tr.markable(i, j)
+        ]
+        for k in range(1, len(markable) + 1):
             for subset in combinations(markable, k):
-                out.append(d.with_tiles({c: Tile.MARKED_SE for c in subset}))
-    return tuple(sorted(out, key=sort_key))
+                v = d.with_tiles(dict.fromkeys(subset, marked))
+                text = texts[:]
+                for i in {i for i, _ in subset}:
+                    text[i - 1] = _row_text(v.tiles[i - 1])
+                keyed.append(("\n".join(text), v))
+    keyed.sort(key=itemgetter(0))
+    return tuple(d for _, d in keyed)
 
 
 def grothendieck_via_mvpd(w: Perm) -> Poly:
@@ -122,7 +141,8 @@ def is_top(d: Diagram, w: Perm) -> bool:
     dreams, as the removal bijection keeps the weighty cells in place.
     """
     if w.is_inverse_fireworks():
-        return not any(t in (Tile.BUMP, Tile.ELBOW_SE) for _, _, t in d.cells())
+        bump, elbow = Tile.BUMP, Tile.ELBOW_SE
+        return not any(bump in row or elbow in row for row in d.tiles)
     return weight(d).degree == max_cross_count(w)
 
 

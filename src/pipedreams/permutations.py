@@ -95,12 +95,33 @@ class Perm:
         return tuple(r[0] for r in self.decreasing_runs())
 
     def is_fireworks(self) -> bool:
-        """True iff the first entries of the decreasing runs increase."""
-        firsts = self.run_firsts()
-        return all(a < b for a, b in zip(firsts, firsts[1:]))
+        """True iff the first entries of the decreasing runs increase.
+
+        One scan: a letter larger than the one before it opens a run."""
+        prev = first = 0  # the letter before, and the first of its run
+        for v in self.letters:
+            if v > prev:
+                if v < first:
+                    return False
+                first = v
+            prev = v
+        return True
 
     def is_inverse_fireworks(self) -> bool:
-        return self.inverse.is_fireworks()
+        """``is_fireworks`` of the inverse, in one scan of the letters.
+
+        A run of the inverse opens at value v iff v = 1 or v - 1 stands to
+        the left of v, and its first entry is v's position.  So the firsts
+        increase iff the run-opening values, met left to right, increase."""
+        seen = [True] + [False] * self.n  # seen[v]: v is left of the scan (0 always)
+        last = 0
+        for v in self.letters:
+            if seen[v - 1]:
+                if v < last:
+                    return False
+                last = v
+            seen[v] = True
+        return True
 
     def lr_maxima(self) -> frozenset[int]:
         """Values strictly larger than every value to their left.
@@ -162,13 +183,16 @@ class Code:
     n: int
 
     def __post_init__(self) -> None:
-        if len(self.entries) not in (self.n, self.n - 1):
-            raise ValueError(f"code of length {len(self.entries)} does not fit n={self.n}")
-        nonzero = [v for v in self.entries if v != 0]
-        if any(not 0 <= v <= self.n for v in self.entries):
-            raise ValueError(f"entries out of range 0..{self.n}: {self.entries!r}")
-        if len(set(nonzero)) != len(nonzero):
-            raise ValueError(f"repeated pipe labels in {self.entries!r}")
+        entries, n = self.entries, self.n
+        if len(entries) not in (n, n - 1):
+            raise ValueError(f"code of length {len(entries)} does not fit n={n}")
+        if entries and (min(entries) < 0 or max(entries) > n):
+            raise ValueError(f"entries out of range 0..{n}: {entries!r}")
+        # Zeros may repeat: the distinct entries are the non-zero ones, plus
+        # one 0 if any.
+        zeros = entries.count(0)
+        if len(set(entries)) != len(entries) - zeros + (zeros > 0):
+            raise ValueError(f"repeated pipe labels in {entries!r}")
 
     @property
     def pipes(self) -> frozenset[int]:

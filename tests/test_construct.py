@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from pipedreams import checks, construct, diagrams
@@ -269,6 +272,20 @@ class TestConstructUp:
                     cert.gained_row
                 )
                 assert row_weight(w, cert.output) in supp
+
+    def test_certificate_digest_n5(self):
+        # Every certificate of the 538 non-maximal marked diagrams of the
+        # inverse fireworks w of S_5, in sweep order, pinned byte for byte.
+        h = hashlib.sha256()
+        count = 0
+        for w in symmetric_group(5):
+            if w.is_inverse_fireworks():
+                for m in mvpd_set(w):
+                    if not is_top(m, w):
+                        h.update(json.dumps(construct_up(m, w).to_json()).encode())
+                        count += 1
+        assert count == 538
+        assert h.hexdigest() == "1b8d81946faf81b18add4eefd4cbd1c7cfbc3432b4f6c89a7ffb6e7727e03cb2"
 
     def test_checks_each_diagram_once(self, monkeypatch):
         checked = []

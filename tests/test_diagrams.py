@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from functools import lru_cache
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import pd_from_crosses, pd_set
 
 from fill_oracle import oracle_members, unpruned_fill
+from trace_oracle import oracle_trace
 from validate_oracle import oracle_validate
 
 # The n=5 diagram of one-line 24513 whose pipes 3 and 5 meet twice:
@@ -233,6 +235,57 @@ class TestValidateOracle:
     @given(any_grids())
     def test_any_grid(self, d):
         assert validate(d) == oracle_validate(d)
+
+
+def trace_outcome(tracer, d):
+    """The tracer's result, or the message of the ``DiagramError`` it raised."""
+    try:
+        return tracer(d)
+    except DiagramError as exc:
+        return str(exc)
+
+
+@lru_cache(maxsize=None)
+def species_grids():
+    """Every PD, MVPD and BVPD of S_1-S_5, and the n = 1 BVPD's empty rows."""
+    grids = [Diagram(Kind.BVPD, 1, ((),))]
+    for n in range(1, 6):
+        for _, ds in species_members(n):
+            grids.extend(ds)
+    return tuple(grids)
+
+
+@st.composite
+def mutated_grids(draw):
+    """A grid of ``species_grids`` with 1-3 cells rewritten to any tile."""
+    d = draw(st.sampled_from(species_grids()))
+    if not d.cols:
+        return d
+    cell = st.tuples(st.integers(1, d.rows), st.integers(1, d.cols))
+    updates = draw(st.dictionaries(cell, st.sampled_from(Tile), min_size=1, max_size=3))
+    return d.with_tiles(updates)
+
+
+class TestTraceOracle:
+    def test_every_diagram_of_s1_to_s5(self):
+        grids = species_grids()
+        assert len({d.kind for d in grids}) == 3
+        for d in grids:
+            assert trace(d) == oracle_trace(d), d
+
+    def test_one_tile_mutations_of_s1_to_s3(self):
+        for n in range(1, 4):
+            for _, ds in species_members(n):
+                for d in ds:
+                    for i, j, _ in d.cells():
+                        for t in Tile:
+                            mutant = d.with_tiles({(i, j): t})
+                            assert trace_outcome(trace, mutant) == trace_outcome(oracle_trace, mutant)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_grids())
+    def test_mutated_grids(self, d):
+        assert trace_outcome(trace, d) == trace_outcome(oracle_trace, d)
 
 
 class TestMembership:

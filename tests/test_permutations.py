@@ -78,6 +78,16 @@ class TestStatistics:
         assert Perm.identity(3).is_inverse_fireworks()
         assert not perm(3, 1, 4, 2).is_inverse_fireworks()
 
+    def test_one_scan_predicates_match_the_run_firsts_definition(self):
+        def firsts_increase(u):
+            firsts = u.run_firsts()
+            return all(a < b for a, b in zip(firsts, firsts[1:]))
+
+        for n in range(1, 8):
+            for w in symmetric_group(n):
+                assert w.is_fireworks() == firsts_increase(w), w
+                assert w.is_inverse_fireworks() == firsts_increase(w.inverse), w
+
     def test_lr_maxima(self):
         assert perm(2, 1, 4, 3).lr_maxima() == {2, 4}
         assert perm(1, 2, 5, 4, 7, 3, 8, 6).lr_maxima() == {1, 2, 5, 7, 8}
@@ -137,3 +147,16 @@ class TestCodes:
             Code((4, 0, 0), 3)  # out of range
         with pytest.raises(ValueError):
             Code((0,), 3)  # wrong length
+
+    def test_code_validation_messages(self):
+        # Zeros may repeat; the checks run length, range, repeats, in order.
+        assert Code((0, 0, 0), 3).pipes == frozenset()
+        assert Code((), 1).entries == ()
+        with pytest.raises(ValueError, match="does not fit n=3"):
+            Code((9, 9, 9, 9), 3)
+        with pytest.raises(ValueError, match=r"out of range 0\.\.3: \(-1, 0, 0\)"):
+            Code((-1, 0, 0), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            Code((4, 4, 0), 3)
+        with pytest.raises(ValueError, match=r"repeated pipe labels in \(0, 2, 2\)"):
+            Code((0, 2, 2), 3)
