@@ -16,8 +16,9 @@ whose edges disagree, and ``validate`` reports that.
 
 A diagram of w in a species is a grid in the species' tile alphabet whose
 edges agree and whose traced code is ``code_of(kind, w)``.  ``is_member``
-tests that, and ``members`` backtracks every unmarked such grid, routing the
-labels by the tracer's rule as it fills and pruning by the code.
+tests that, and ``members`` backtracks every such grid, marks included,
+routing the labels by the tracer's rule as it fills, placing each mark where
+``markable`` allows it, and pruning by the code.
 """
 
 from __future__ import annotations
@@ -425,34 +426,35 @@ def _member_trace(d: Diagram, w: Perm) -> TraceResult | None:
 # leaves room for the frames of the caller (a test runner's, say).
 MAX_FILL_N = 28
 
+# The most diagrams one fill lists.  It bounds the count and the memory of a
+# listing, not the time of a fill whose dead branches are many.
+MAX_LISTED = 100_000
+
 
 @lru_cache(maxsize=None)
-def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple], ...]:
-    """``members``' cells in the tracer's order, each as (i, j, opts) with
-    its unmarked tiles in four slots, opts[takes a west pipe][takes a south
-    pipe].  Read off ``_alphabets``, it is likewise a function of the
-    species and the size alone."""
+def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple, bool], ...]:
+    """``members``' cells in the tracer's order, each as (i, j, opts, marks)
+    with its unmarked tiles in four slots, opts[takes a west pipe][takes a
+    south pipe], and ``marks`` true iff it may hold a marked elbow.  Read
+    off ``_alphabets``, it is a function of the species and the size alone."""
     rows, cols = grid_shape(kind, n)
     alphabets = _alphabets(kind, n)
     plan = []
     for i in range(rows, 0, -1):
         for j in range(1, cols + 1):
+            alphabet = alphabets[(i - 1) * cols + j - 1]
             opts: tuple[tuple[list[Tile], ...], ...] = (([], []), ([], []))
-            for t in alphabets[(i - 1) * cols + j - 1]:
+            for t in alphabet:
                 if t is not _MARKED_SE:
-                    opts["W" in t.sides]["S" in t.sides].append(t)
-            plan.append((i, j, tuple(tuple(map(tuple, by_s)) for by_s in opts)))
+                    opts[t.west][t.south].append(t)
+            by_w = tuple(tuple(map(tuple, by_s)) for by_s in opts)
+            plan.append((i, j, by_w, _MARKED_SE in alphabet))
     return tuple(plan)
 
 
 def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
-    """The unmarked diagrams of w in the species, in canonical order."""
-    return tuple(sorted(_fill(kind, w), key=sort_key))
-
-
-def _fill(kind: Kind, w: Perm) -> list[Diagram]:
-    """``members`` in the order the fill meets them, for callers that sort
-    a larger list anyway.
+    """The diagrams of w in the species, marks included, in canonical order:
+    exactly the grids that ``is_member`` accepts.
 
     Cells are filled in ``trace``'s order (bottom to top, left to right), so
     each cell's west and south labels are known when its tile is picked, and
@@ -462,54 +464,79 @@ def _fill(kind: Kind, w: Perm) -> list[Diagram]:
     must leave the top edge; in row 1 the north label must be the code entry.
     Every complete filling therefore reads w's code, with no trace after.
 
-    The cells and each cell's tiles, split by whether they take a west and a
-    south pipe, come from ``_fill_plan(kind, n)``.  It is built once per
-    species and size and holds nothing of w: which pipes enter, where they
-    must leave and which pairs have crossed are this call's own state, so
-    one plan serves every w of that size."""
+    A marked elbow routes as an unmarked one, so after the fillings below a
+    south-east elbow, the cell is re-placed marked and filled again if its
+    pipe owns a horizontal, all of which lie lower (``markable``'s rule).
+    Horizontals are counted only in a species with marks.  Each finished row
+    is frozen into one tuple as the sweep moves above it, and the diagrams
+    listed below that point share it.
+
+    The plan, ``_fill_plan(kind, n)``, holds nothing of w: which pipes enter,
+    where they must leave, which pairs have crossed and which pipes own a
+    horizontal are this call's own state.  Raises ``ValueError`` above
+    ``MAX_FILL_N`` and past ``MAX_LISTED`` diagrams."""
     if w.n > MAX_FILL_N:
         raise ValueError(f"n={w.n} above the fill's depth bound {MAX_FILL_N}")
     code = code_of(kind, w)
     rows, cols = grid_shape(kind, w.n)
     plan = _fill_plan(kind, w.n)
     last = len(plan)
+    counting = any(marks for _, _, _, marks in plan)
     entering = code.pipes
     exit_col = [0] * (w.n + 1)  # exit_col[r]: the column at which label r leaves the top
     for c, r in enumerate(code.entries, start=1):
         if r:
             exit_col[r] = c
     top = (0,) + code.entries  # top[j]: the label leaving column j's top edge
-    grid = [[Tile.BLANK] * cols for _ in range(rows)]
+    grid = [[_BLANK] * cols for _ in range(rows)]
+    done: list[tuple[Tile, ...]] = [()] * rows  # done[i - 1]: row i, once finished
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
+    owned = [0] * (w.n + 1)  # owned[r]: horizontals placed on pipe r
     crossed: set[frozenset[int]] = set()
     found: list[Diagram] = []
 
+    def emit() -> None:
+        done[0] = tuple(grid[0])
+        found.append(Diagram(kind, w.n, tuple(done)))
+        if len(found) > MAX_LISTED:
+            raise ValueError(f"{w.letters}: more than {MAX_LISTED} {kind.value} diagrams")
+
+    # ``fill`` recurses once per cell, so it keeps few locals and free
+    # variables: on CPython 3.11 a deep recursion whose frames cross a
+    # data-stack chunk maps and frees that chunk at each crossing.
     def fill(k: int, west: int) -> None:
         if k == last:
-            found.append(Diagram(kind, w.n, tuple(map(tuple, grid))))
-            return
-        i, j, opts = plan[k]
+            return emit()
+        i, j, opts, marks = plan[k]
         if j == 1:
             west = i if i in entering else 0
+            if i < rows:
+                done[i] = tuple(grid[i])
         s_in = south[j]
         for t in opts[west > 0][s_in > 0]:
             n_out, e_out = _exits(t, west, s_in, crossed)
-            fresh = t is _CROSS and n_out == s_in  # this tile crossed its pair
-            alive = (
+            if (
                 not (e_out and exit_col[e_out] <= j)
                 and not (n_out and exit_col[n_out] < j)
                 and (i > 1 or n_out == top[j])
-            )
-            if alive:
+            ):
                 grid[i - 1][j - 1] = t
                 south[j] = n_out
-                fill(k + 1, e_out)
-            if fresh:
+                if t is _HORIZONTAL and counting:
+                    owned[west] += 1
+                    fill(k + 1, e_out)
+                    owned[west] -= 1
+                else:
+                    fill(k + 1, e_out)
+                    if t is _ELBOW_SE and marks and owned[s_in]:
+                        grid[i - 1][j - 1] = _MARKED_SE
+                        fill(k + 1, e_out)
+            if t is _CROSS and n_out == s_in:  # this tile crossed its pair
                 crossed.discard(frozenset((west, s_in)))
         south[j] = s_in
 
     fill(0, 0)
-    return found
+    return tuple(sorted(found, key=sort_key))
 
 
 # The weight-bearing tiles of each species.  In a BVPD a pipe turns north

@@ -1,28 +1,25 @@
 """Marked vertical-less diagrams and the pipe-removal bijection with PDs.
 
-``mvpd_set`` fills the marked diagrams of w directly.  A pipe dream maps to
-one by deleting the logical paths of the pipes labelled by left-to-right
-maxima of the inverse permutation; a cross that loses its north-bound
-strand keeps the surviving south-to-east arc as a *marked* elbow.  The
-inverse map is a cell-local rewrite; prop36 checks that the two are a
-bijection between the pipe dreams and ``mvpd_set``.
+``mvpd_set`` is the cached ``members(Kind.MVPD, w)``, marks included.  A
+pipe dream maps to one by deleting the logical paths of the pipes labelled
+by left-to-right maxima of the inverse permutation; a cross that loses its
+north-bound strand keeps the surviving south-to-east arc as a *marked*
+elbow.  The inverse map is a cell-local rewrite; prop36 checks that the two
+are a bijection between the pipe dreams and ``mvpd_set``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from operator import itemgetter
 
 from .diagrams import (
     Diagram,
     DiagramError,
     Kind,
     Tile,
-    _fill,
-    _row_text,
     code_of,
     is_member,
+    members,
     signed_weight_sum,
     trace,
     weight,
@@ -89,34 +86,8 @@ def _mvpd_to_pd(d: Diagram) -> Diagram:
 
 @lru_cache(maxsize=None)
 def mvpd_set(w: Perm) -> tuple[Diagram, ...]:
-    """The marked vertical-less diagrams of w, in canonical order: backtrack
-    the unmarked ones, then mark every subset of their markable elbows.
-
-    An unmarked diagram stands for its empty subset, each marked variant
-    rebuilds only the rows it marks, and each diagram's sort key is
-    rendered once, reusing the text of the rows a variant leaves alone."""
-    elbow, marked = Tile.ELBOW_SE, Tile.MARKED_SE
-    keyed: list[tuple[str, Diagram]] = []
-    for d in _fill(Kind.MVPD, w):
-        texts = [_row_text(row) for row in d.tiles]
-        keyed.append(("\n".join(texts), d))
-        tr = trace(d)
-        markable = [
-            (i, j)
-            for i, row in enumerate(d.tiles, start=1)
-            if elbow in row
-            for j, t in enumerate(row, start=1)
-            if t is elbow and tr.markable(i, j)
-        ]
-        for k in range(1, len(markable) + 1):
-            for subset in combinations(markable, k):
-                v = d.with_tiles(dict.fromkeys(subset, marked))
-                text = texts[:]
-                for i in {i for i, _ in subset}:
-                    text[i - 1] = _row_text(v.tiles[i - 1])
-                keyed.append(("\n".join(text), v))
-    keyed.sort(key=itemgetter(0))
-    return tuple(d for _, d in keyed)
+    """The marked vertical-less diagrams of w, in canonical order."""
+    return members(Kind.MVPD, w)
 
 
 def grothendieck_via_mvpd(w: Perm) -> Poly:

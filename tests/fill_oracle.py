@@ -1,9 +1,10 @@
 """The unpruned backtracker, kept as the oracle for ``diagrams.members``.
 
-It fills every edge-consistent grid with the given left-edge pipes and
-knows nothing of labels or codes; ``oracle_members`` then keeps the
-fillings whose traced code is w's.  That is the definition the pruned fill
-must reproduce.
+It fills every edge-consistent grid with the given left-edge pipes, in the
+full alphabet, marks included, and knows nothing of labels, codes or where
+a mark may sit; ``oracle_members`` then keeps the fillings that
+``validate`` accepts and whose traced code is w's.  That is the definition
+the pruned fill must reproduce.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from pipedreams.diagrams import (
     grid_shape,
     sort_key,
     trace,
+    validate,
 )
 from pipedreams.permutations import Code, Perm
 
 
 def unpruned_fill(kind: Kind, n: int, entering: Iterable[int]) -> Iterator[Diagram]:
-    """All edge-consistent unmarked fillings with the given left-edge pipes,
-    cells chosen bottom-to-top, left-to-right."""
+    """All edge-consistent fillings with the given left-edge pipes, marks
+    placed anywhere the alphabet has them, cells chosen bottom-to-top,
+    left-to-right."""
     rows, cols = grid_shape(kind, n)
     want = frozenset(entering)
     if cols == 0:
@@ -33,7 +36,7 @@ def unpruned_fill(kind: Kind, n: int, entering: Iterable[int]) -> Iterator[Diagr
             yield Diagram(kind, n, tuple(() for _ in range(rows)))
         return
     alphabet = {
-        (i, j): tuple(t for t in allowed_tiles(kind, n, i, j) if t is not Tile.MARKED_SE)
+        (i, j): allowed_tiles(kind, n, i, j)
         for i in range(1, rows + 1)
         for j in range(1, cols + 1)
     }
@@ -62,12 +65,13 @@ def unpruned_fill(kind: Kind, n: int, entering: Iterable[int]) -> Iterator[Diagr
 
 
 def oracle_members(kind: Kind, ws: Iterable[Perm]) -> dict[Perm, tuple[Diagram, ...]]:
-    """For each w (all of one size), the unpruned fillings whose traced code
-    is w's, in canonical order.  Each entering set is filled and traced once."""
+    """For each w (all of one size), the valid unpruned fillings whose traced
+    code is w's, in canonical order.  Each entering set is filled once."""
     codes = {w: code_of(kind, w) for w in ws}
     n = next(iter(codes)).n
     groups: dict[Code, list[Diagram]] = {}
     for pipes in {c.pipes for c in codes.values()}:
         for d in unpruned_fill(kind, n, pipes):
-            groups.setdefault(trace(d).code, []).append(d)
+            if not validate(d):
+                groups.setdefault(trace(d).code, []).append(d)
     return {w: tuple(sorted(groups.get(c, ()), key=sort_key)) for w, c in codes.items()}

@@ -287,6 +287,29 @@ class TestFillDepth:
         assert out.strip()
 
 
+class TestListingBudget:
+    @pytest.mark.parametrize("kind", ["pd", "mvpd", "bvpd"])
+    def test_a_listing_past_the_budget_is_a_usage_error(self, capsys, monkeypatch, kind):
+        # 2413 has three PDs, three MVPDs and one BVPD: a budget one short
+        # refuses the listing, and a budget of exactly its size lists it.
+        w = Perm.from_one_line([2, 4, 1, 3])
+        species = Kind[kind.upper()]
+        size = len(members(species, w))
+        monkeypatch.setattr(diagrams, "MAX_LISTED", size - 1)
+        with pytest.raises(ValueError, match=rf"\(2, 4, 1, 3\): more than {size - 1} "):
+            members(species, w)
+        cli._DIAGRAM_SETS[kind].cache_clear()
+        code, out, err = run(capsys, "enumerate", "--kind", kind, "--w", "2,4,1,3")
+        assert code == 2
+        assert err.startswith("error:") and f"more than {size - 1} {species.value}" in err
+        assert "Traceback" not in err
+        assert out == ""
+        monkeypatch.setattr(diagrams, "MAX_LISTED", size)
+        code, out, _ = run(capsys, "enumerate", "--kind", kind, "--w", "2,4,1,3")
+        assert code == 0
+        assert len(out.strip().split("\n\n")) == size
+
+
 class TestRender:
     def test_json_to_text(self, capsys, tmp_path):
         src = tmp_path / "d.json"

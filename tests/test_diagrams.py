@@ -488,6 +488,12 @@ class TestEnumerateStructures:
                 assert not validate(d)
         for d in unpruned_fill(Kind.MVPD, 4, frozenset({1, 2})):
             assert not validate(d)
+        # The unpruned fill keeps every edge rule but places marks anywhere:
+        # a misplaced mark is all that validate may find in its fillings.
+        fillings = list(unpruned_fill(Kind.MVPD, 4, frozenset({2, 3})))
+        for d in fillings:
+            assert validate(d) == mark_violations(d, trace(d))
+        assert any(validate(d) for d in fillings) and not all(validate(d) for d in fillings)
 
     def test_pd_fillings_match_the_index(self):
         # The pipe dreams of all of S_n are every subset of the staircase
@@ -545,16 +551,43 @@ class TestPrunedFill:
 
     def test_canonical_order_digest(self):
         # Pins every diagram and its place in the canonical order for all w
-        # of S_1..S_5, independent of the string hash seed.
-        h = hashlib.sha256()
+        # of S_1..S_5, independent of the string hash seed: the unmarked
+        # ones alone, and all of them.
+        unmarked, full = hashlib.sha256(), hashlib.sha256()
         for n in range(1, 6):
             for w in symmetric_group(n):
                 kinds = [Kind.PD, Kind.MVPD] + [Kind.BVPD] * w.is_inverse_fireworks()
                 for kind in kinds:
                     for d in members(kind, w):
-                        h.update(d.render_text().encode() + b"|")
-                    h.update(b"#")
-        assert h.hexdigest() == "1ecacd1f296d61e70fec509c397c4417800862043c003b166c2cf2a2e7a132fa"
+                        text = d.render_text().encode() + b"|"
+                        full.update(text)
+                        if not any(Tile.MARKED_SE in row for row in d.tiles):
+                            unmarked.update(text)
+                    unmarked.update(b"#")
+                    full.update(b"#")
+        assert unmarked.hexdigest() == (
+            "1ecacd1f296d61e70fec509c397c4417800862043c003b166c2cf2a2e7a132fa"
+        )
+        assert full.hexdigest() == (
+            "c521d95ed1fc313034ed8b037b29939c64df518c7b51fd1f496c1a773ba3e35d"
+        )
+
+    def test_fillings_share_their_finished_rows(self):
+        # Two fillings that agree on a row and on every row below it parted
+        # only above it, after the fill froze it: they hold one tuple.
+        shared = 0
+        for kind in Kind:
+            for w in symmetric_group(4):
+                if kind is Kind.BVPD and not w.is_inverse_fireworks():
+                    continue
+                first: dict[tuple, tuple] = {}
+                for d in members(kind, w):
+                    for k in range(1, d.rows):
+                        below = d.tiles[k:]
+                        seen = first.setdefault(below, below)
+                        assert all(a is b for a, b in zip(seen, below)), (w, d)
+                        shared += seen is not below
+        assert shared
 
     def test_one_plan_per_kind_and_size(self):
         # The w of S_4 taken from both ends in turn, each filled twice: a
