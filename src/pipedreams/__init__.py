@@ -3,7 +3,7 @@ bijections between the pipe-dream, marked vertical-less, and bumpless
 vertical-less pictures."""
 
 from .diagrams import Diagram, DiagramError, Kind, Tile, trace, validate
-from .permutations import Code, Perm, symmetric_group
+from .permutations import Perm, symmetric_group
 from .pipedream import (
     double_grothendieck,
     grothendieck,
@@ -14,7 +14,6 @@ from .pipedream import (
 from .polynomials import Monomial, Poly
 
 __all__ = [
-    "Code",
     "Diagram",
     "DiagramError",
     "Kind",

@@ -30,7 +30,7 @@ from itertools import chain
 from operator import contains
 from typing import Iterable, Iterator, Mapping
 
-from .permutations import Code, Perm
+from .permutations import Perm
 from .polynomials import Monomial, Poly
 
 
@@ -75,6 +75,12 @@ class Tile(Enum):
 _CHAR_TO_TILE: dict[str, Tile] = {t.glyph: t for t in Tile}
 
 
+def _tiles(glyphs: str) -> tuple[Tile, ...]:
+    """The tiles a string of glyphs names; a ``KeyError`` holds the first
+    glyph that names none."""
+    return tuple(map(_CHAR_TO_TILE.__getitem__, glyphs))
+
+
 def _row_text(row: Iterable[Tile]) -> str:
     """The glyphs of one row of tiles: the one reader of a row's text."""
     return "".join([t.glyph for t in row])
@@ -94,48 +100,48 @@ _BLANK, _HORIZONTAL, _CROSS, _ELBOW_WN, _ELBOW_SE, _MARKED_SE = (
 
 
 class Kind(Enum):
-    PD = "PD"
-    MVPD = "MVPD"
-    BVPD = "BVPD"
+    """A diagram species: the value is its name, ``shortfall`` the columns
+    its grid lacks of n, ``staircase`` its tile alphabet on the cells
+    i + j <= n - shortfall, ``edge`` its alphabet on the anti-diagonal just
+    past them (blanks beyond), and ``weighty`` its weight-bearing tiles,
+    each given by glyphs in ``Tile``'s order.  In a BVPD a pipe turns north
+    exactly once more than it turns east, so per row the west-north elbows
+    count the entering pipe plus its south-east turns; that makes {cross,
+    horizontal, west-north elbow} the weight-bearing set there."""
+
+    PD = "PD", 0, "+b", "J", "+"
+    MVPD = "MVPD", 0, ".-+JrbR", ".J", "-+R"
+    BVPD = "BVPD", 1, ".-+Jr", ".J", "-+J"
+
+    shortfall: int
+    staircase: tuple[Tile, ...]
+    edge: tuple[Tile, ...]
+    weighty: tuple[Tile, ...]
+
+    def __new__(cls, name: str, shortfall: int, staircase: str, edge: str, weighty: str) -> Kind:
+        kind = object.__new__(cls)
+        kind._value_ = name
+        # Plain attributes, as on ``Tile``: read per diagram, with no hashing.
+        kind.shortfall = shortfall
+        kind.staircase = _tiles(staircase)
+        kind.edge = _tiles(edge)
+        kind.weighty = _tiles(weighty)
+        return kind
 
 
 def grid_shape(kind: Kind, n: int) -> tuple[int, int]:
-    return (n, n - 1) if kind is Kind.BVPD else (n, n)
-
-
-_MVPD_FULL = (
-    Tile.BLANK,
-    Tile.HORIZONTAL,
-    Tile.CROSS,
-    Tile.ELBOW_WN,
-    Tile.ELBOW_SE,
-    Tile.BUMP,
-    Tile.MARKED_SE,
-)
-_BVPD_FULL = (Tile.BLANK, Tile.HORIZONTAL, Tile.CROSS, Tile.ELBOW_WN, Tile.ELBOW_SE)
+    return n, n - kind.shortfall
 
 
 def allowed_tiles(kind: Kind, n: int, i: int, j: int) -> tuple[Tile, ...]:
-    """The tile alphabet at cell (i, j): full alphabet on the staircase,
-    west-north elbows (or blanks) on the anti-diagonal, blanks beyond."""
-    s = i + j
-    if kind is Kind.PD:
-        if s <= n:
-            return (Tile.CROSS, Tile.BUMP)
-        if s == n + 1:
-            return (Tile.ELBOW_WN,)
-        return (Tile.BLANK,)
-    if kind is Kind.MVPD:
-        if s <= n:
-            return _MVPD_FULL
-        if s == n + 1:
-            return (Tile.BLANK, Tile.ELBOW_WN)
-        return (Tile.BLANK,)
-    if s <= n - 1:
-        return _BVPD_FULL
-    if s == n:
-        return (Tile.BLANK, Tile.ELBOW_WN)
-    return (Tile.BLANK,)
+    """The tile alphabet at cell (i, j): the species' staircase alphabet on
+    the staircase, its edge alphabet on the anti-diagonal, blanks beyond."""
+    s = i + j + kind.shortfall
+    if s <= n:
+        return kind.staircase
+    if s == n + 1:
+        return kind.edge
+    return (_BLANK,)
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,7 @@ class Diagram:
         grid: list[tuple[Tile, ...]] = []
         for line in rows:
             try:
-                grid.append(tuple(_CHAR_TO_TILE[ch] for ch in line))
+                grid.append(_tiles(line))
             except KeyError as exc:
                 raise DiagramError(f"unknown tile character {exc.args[0]!r}") from None
         try:
@@ -239,7 +245,7 @@ class TraceResult:
     """Everything the tracer learns about a diagram in one pass; the cell
     queries read ``cells`` and ``lowest_horizontal``."""
 
-    code: Code
+    code: tuple[int, ...]  # entry c: the label leaving column c's top edge, 0 if none
     crossed_pairs: frozenset[frozenset[int]]
     cells: Mapping[tuple[int, int], CellLabels]
     lowest_horizontal: Mapping[int, int]  # label -> largest row of a horizontal on its pipe
@@ -280,11 +286,9 @@ def _exits(t: Tile, w_in: int, s_in: int, crossed: set[frozenset[int]]) -> tuple
 
 @lru_cache(maxsize=None)
 def _trace_plan(kind: Kind, n: int) -> tuple[tuple[int, int], ...]:
-    """The cells of a grid in the tracer's order, bottom to top, left to
-    right: the keys of ``TraceResult.cells``, for every grid of the species
-    and size."""
-    rows, cols = grid_shape(kind, n)
-    return tuple((i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1))
+    """The (i, j) cells of ``_fill_plan``, in its order: the keys of
+    ``TraceResult.cells``, for every grid of the species and size."""
+    return tuple((i, j) for i, j, _, _ in _fill_plan(kind, n))
 
 
 _NO_PIPE: CellLabels = (0, 0, 0, 0)
@@ -330,7 +334,7 @@ def trace(d: Diagram) -> TraceResult:
         if west:
             raise DiagramError(f"({i},{cols}): east connection leaves the grid")
     return TraceResult(
-        code=Code(tuple(south[1:]), d.n),
+        code=tuple(south[1:]),
         crossed_pairs=frozenset(crossed),
         cells=dict(zip(_trace_plan(d.kind, d.n), labels)),
         lowest_horizontal=lowest,
@@ -393,12 +397,12 @@ def sort_key(d: Diagram) -> str:
 # Every diagram one call checks reads the same code.  Keyed by value, not
 # held per Perm object, and bounded: a sweep moves on from each w.
 @lru_cache(maxsize=16)
-def code_of(kind: Kind, w: Perm) -> Code:
+def code_of(kind: Kind, w: Perm) -> tuple[int, ...]:
     """The code every diagram of w in the species reads off its top edge:
     w's inverse for PDs, its column code for MVPDs, and its reduced column
     code for BVPDs (a ``ValueError`` unless w is inverse fireworks)."""
     if kind is Kind.PD:
-        return Code(w.inverse.letters, w.n)
+        return w.inverse.letters
     if kind is Kind.MVPD:
         return w.column_code()
     return w.reduced_column_code()
@@ -416,8 +420,7 @@ def _member_trace(d: Diagram, w: Perm) -> TraceResult | None:
     if d.n != w.n:
         return None
     problems, tr = _checked_trace(d)
-    # Both codes are of size d.n == w.n, so their entries decide equality.
-    ok = not problems and tr.code.entries == code_of(d.kind, w).entries
+    ok = not problems and tr.code == code_of(d.kind, w)
     return tr if ok else None
 
 
@@ -436,13 +439,12 @@ def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple, bool], ...]:
     """``members``' cells in the tracer's order, each as (i, j, opts, marks)
     with its unmarked tiles in four slots, opts[takes a west pipe][takes a
     south pipe], and ``marks`` true iff it may hold a marked elbow.  Read
-    off ``_alphabets``, it is a function of the species and the size alone."""
+    off ``allowed_tiles``, it is a function of the species and the size alone."""
     rows, cols = grid_shape(kind, n)
-    alphabets = _alphabets(kind, n)
     plan = []
     for i in range(rows, 0, -1):
         for j in range(1, cols + 1):
-            alphabet = alphabets[(i - 1) * cols + j - 1]
+            alphabet = allowed_tiles(kind, n, i, j)
             opts: tuple[tuple[list[Tile], ...], ...] = (([], []), ([], []))
             for t in alphabet:
                 if t is not _MARKED_SE:
@@ -482,12 +484,12 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     plan = _fill_plan(kind, w.n)
     last = len(plan)
     counting = any(marks for _, _, _, marks in plan)
-    entering = code.pipes
+    entering = {r for r in code if r}
     exit_col = [0] * (w.n + 1)  # exit_col[r]: the column at which label r leaves the top
-    for c, r in enumerate(code.entries, start=1):
+    for c, r in enumerate(code, start=1):
         if r:
             exit_col[r] = c
-    top = (0,) + code.entries  # top[j]: the label leaving column j's top edge
+    top = (0,) + code  # top[j]: the label leaving column j's top edge
     grid = [[_BLANK] * cols for _ in range(rows)]
     done: list[tuple[Tile, ...]] = [()] * rows  # done[i - 1]: row i, once finished
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
@@ -539,20 +541,9 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     return tuple(sorted(found, key=sort_key))
 
 
-# The weight-bearing tiles of each species.  In a BVPD a pipe turns north
-# exactly once more than it turns east, so per row the west-north elbows
-# count the entering pipe plus its south-east turns; that makes {cross,
-# horizontal, west-north elbow} the weight-bearing set there.
-WEIGHTY: dict[Kind, tuple[Tile, ...]] = {
-    Kind.PD: (Tile.CROSS,),
-    Kind.MVPD: (Tile.HORIZONTAL, Tile.CROSS, Tile.MARKED_SE),
-    Kind.BVPD: (Tile.HORIZONTAL, Tile.CROSS, Tile.ELBOW_WN),
-}
-
-
 def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
     """Positions of the weight-bearing tiles of the diagram's species."""
-    weighty = WEIGHTY[d.kind]
+    weighty = d.kind.weighty
     return frozenset(
         (i, j)
         for i, row in enumerate(d.tiles, start=1)
@@ -564,7 +555,7 @@ def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
 def weight(d: Diagram) -> Monomial:
     """Row-product monomial of the weight-bearing tiles, counted row by row;
     its ``degree`` is the diagram's weighty-tile count."""
-    weighty = WEIGHTY[d.kind].__contains__
+    weighty = d.kind.weighty.__contains__
     return Monomial(tuple([sum(map(weighty, row)) for row in d.tiles]), (0,) * d.n)
 
 

@@ -77,23 +77,6 @@ class Perm:
         """
         return sum(self.descents())
 
-    def decreasing_runs(self) -> tuple[tuple[int, ...], ...]:
-        """Maximal decreasing factors; they concatenate to the one-line word.
-
-        >>> Perm.from_one_line([3, 1, 6, 7, 5, 4, 2]).decreasing_runs()
-        ((3, 1), (6,), (7, 5, 4, 2))
-        """
-        runs: list[list[int]] = []
-        for v in self.letters:
-            if runs and runs[-1][-1] > v:
-                runs[-1].append(v)
-            else:
-                runs.append([v])
-        return tuple(tuple(r) for r in runs)
-
-    def run_firsts(self) -> tuple[int, ...]:
-        return tuple(r[0] for r in self.decreasing_runs())
-
     def is_fireworks(self) -> bool:
         """True iff the first entries of the decreasing runs increase.
 
@@ -137,7 +120,7 @@ class Perm:
                 best = v
         return frozenset(out)
 
-    def column_code(self) -> Code:
+    def column_code(self) -> tuple[int, ...]:
         """The inverse one-line word with its left-to-right maxima zeroed.
 
         This is the column-to-row code shared by every vertical-less diagram
@@ -145,9 +128,9 @@ class Perm:
         """
         inv = self.inverse
         maxima = inv.lr_maxima()
-        return Code(tuple(0 if v in maxima else v for v in inv.letters), self.n)
+        return tuple(0 if v in maxima else v for v in inv.letters)
 
-    def reduced_column_code(self) -> Code:
+    def reduced_column_code(self) -> tuple[int, ...]:
         """``column_code`` with its leading zero dropped.
 
         Only defined for inverse fireworks permutations, whose bumpless
@@ -155,7 +138,7 @@ class Perm:
         """
         if not self.is_inverse_fireworks():
             raise ValueError(f"{self.letters}: not inverse fireworks")
-        return Code(self.column_code().entries[1:], self.n)
+        return self.column_code()[1:]
 
     def pipe_travel(self) -> int:
         """Total eastward column passages of the coded pipes.
@@ -164,40 +147,10 @@ class Perm:
         ``column_code``; every diagram with that code spends exactly this
         many tiles moving its pipes east, so it bounds the weighty count.
         """
-        return sum(c - 1 for c, v in enumerate(self.column_code().entries, start=1) if v)
+        return sum(c - 1 for c, v in enumerate(self.column_code(), start=1) if v)
 
     def to_json(self) -> list[int]:
         return list(self.letters)
-
-
-@dataclass(frozen=True)
-class Code:
-    """Column-to-row code: entry c names the pipe exiting column c (0 = none).
-
-    Full codes have length ``n``; reduced codes (leading column dropped)
-    have length ``n - 1``.  The ambient size is carried explicitly so the
-    two flavours cannot be confused at call sites.
-    """
-
-    entries: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        entries, n = self.entries, self.n
-        if len(entries) not in (n, n - 1):
-            raise ValueError(f"code of length {len(entries)} does not fit n={n}")
-        if entries and (min(entries) < 0 or max(entries) > n):
-            raise ValueError(f"entries out of range 0..{n}: {entries!r}")
-        # Zeros may repeat: the distinct entries are the non-zero ones, plus
-        # one 0 if any.
-        zeros = entries.count(0)
-        if len(set(entries)) != len(entries) - zeros + (zeros > 0):
-            raise ValueError(f"repeated pipe labels in {entries!r}")
-
-    @property
-    def pipes(self) -> frozenset[int]:
-        """The rows at which pipes enter (the non-zero entries)."""
-        return frozenset(v for v in self.entries if v)
 
 
 def symmetric_group(n: int) -> Iterator[Perm]:

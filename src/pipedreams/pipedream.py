@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .diagrams import Diagram, Kind, Tile, members, signed_weight_sum, weight
+from .diagrams import Diagram, Kind, _alphabets, members, signed_weight_sum, weight
 from .permutations import Perm, symmetric_group
 from .polynomials import Poly
 
@@ -30,18 +30,18 @@ class PipeDreamIndex:
 
 
 def pd_from_crosses(n: int, crosses: frozenset[tuple[int, int]]) -> Diagram:
-    grid = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i + j <= n:
-                row.append(Tile.CROSS if (i, j) in crosses else Tile.BUMP)
-            elif i + j == n + 1:
-                row.append(Tile.ELBOW_WN)
-            else:
-                row.append(Tile.BLANK)
-        grid.append(tuple(row))
-    return Diagram(Kind.PD, n, tuple(grid))
+    """The pipe dream with crosses at the given cells: each cell takes the
+    first tile of its alphabet if crossed, else the last, so the staircase
+    is crosses and bumps, and the cells past it are fixed."""
+    alphabets = _alphabets(Kind.PD, n)
+    grid = tuple(
+        tuple(
+            a[0] if (i, j) in crosses else a[-1]
+            for j, a in enumerate(alphabets[(i - 1) * n : i * n], start=1)
+        )
+        for i in range(1, n + 1)
+    )
+    return Diagram(Kind.PD, n, grid)
 
 
 def require_pd_bound(n: int) -> None:

@@ -22,7 +22,7 @@ from pipedreams.diagrams import (
     trace,
     validate,
 )
-from pipedreams.permutations import Code, Perm
+from pipedreams.permutations import Perm
 
 
 def unpruned_fill(kind: Kind, n: int, entering: Iterable[int]) -> Iterator[Diagram]:
@@ -69,8 +69,8 @@ def oracle_members(kind: Kind, ws: Iterable[Perm]) -> dict[Perm, tuple[Diagram, 
     code is w's, in canonical order.  Each entering set is filled once."""
     codes = {w: code_of(kind, w) for w in ws}
     n = next(iter(codes)).n
-    groups: dict[Code, list[Diagram]] = {}
-    for pipes in {c.pipes for c in codes.values()}:
+    groups: dict[tuple[int, ...], list[Diagram]] = {}
+    for pipes in {frozenset(filter(None, c)) for c in codes.values()}:
         for d in unpruned_fill(kind, n, pipes):
             if not validate(d):
                 groups.setdefault(trace(d).code, []).append(d)

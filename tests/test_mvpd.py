@@ -169,7 +169,7 @@ class TestCensus:
         u = Perm.from_one_line([1, 2, 5, 4, 7, 3, 8, 6])
         w = u.inverse
         code = w.column_code()
-        assert code.entries == (0, 0, 0, 4, 0, 3, 0, 6)
+        assert code == (0, 0, 0, 4, 0, 3, 0, 6)
         assert w.pipe_travel() == 15
         ds = members(Kind.MVPD, w)
         assert len(ds) == 38713

@@ -1,19 +1,29 @@
-import doctest
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import pipedreams.permutations
-from pipedreams.permutations import Code, Perm, symmetric_group
-
-
-def test_doctests():
-    assert doctest.testmod(pipedreams.permutations).failed == 0
+from pipedreams.permutations import Perm, symmetric_group
 
 
 def perm(*values) -> Perm:
     return Perm.from_one_line(values)
+
+
+def decreasing_runs(u: Perm) -> tuple[tuple[int, ...], ...]:
+    """Maximal decreasing factors of u's one-line word, which they
+    concatenate to: with ``run_firsts``, the oracle for the fireworks
+    predicates."""
+    runs: list[list[int]] = []
+    for v in u.letters:
+        if runs and runs[-1][-1] > v:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    return tuple(tuple(r) for r in runs)
+
+
+def run_firsts(u: Perm) -> tuple[int, ...]:
+    return tuple(r[0] for r in decreasing_runs(u))
 
 
 class TestConstruction:
@@ -62,9 +72,9 @@ class TestStatistics:
         assert perm(3, 2, 1).major_index() == 3
 
     def test_decreasing_runs(self):
-        assert perm(3, 1, 6, 7, 5, 4, 2).decreasing_runs() == ((3, 1), (6,), (7, 5, 4, 2))
-        assert Perm.identity(3).decreasing_runs() == ((1,), (2,), (3,))
-        assert perm(1, 4, 5, 6, 3, 2).decreasing_runs() == ((1,), (4,), (5,), (6, 3, 2))
+        assert decreasing_runs(perm(3, 1, 6, 7, 5, 4, 2)) == ((3, 1), (6,), (7, 5, 4, 2))
+        assert decreasing_runs(Perm.identity(3)) == ((1,), (2,), (3,))
+        assert decreasing_runs(perm(1, 4, 5, 6, 3, 2)) == ((1,), (4,), (5,), (6, 3, 2))
 
     def test_fireworks(self):
         assert perm(3, 1, 6, 7, 5, 4, 2).is_fireworks()
@@ -80,7 +90,7 @@ class TestStatistics:
 
     def test_one_scan_predicates_match_the_run_firsts_definition(self):
         def firsts_increase(u):
-            firsts = u.run_firsts()
+            firsts = run_firsts(u)
             return all(a < b for a, b in zip(firsts, firsts[1:]))
 
         for n in range(1, 8):
@@ -97,28 +107,28 @@ class TestStatistics:
         for n in range(1, 7):
             for u in symmetric_group(n):
                 if u.is_fireworks():
-                    assert u.lr_maxima() == set(u.run_firsts())
+                    assert u.lr_maxima() == set(run_firsts(u))
 
 
 class TestCodes:
     def test_column_code_worked_example(self):
         w = perm(1, 2, 5, 4, 7, 3, 8, 6).inverse
-        assert w.column_code().entries == (0, 0, 0, 4, 0, 3, 0, 6)
+        assert w.column_code() == (0, 0, 0, 4, 0, 3, 0, 6)
 
     def test_column_code_small(self):
         w = perm(3, 1, 4, 2).inverse  # inverse one-line 3142
-        assert w.column_code().entries == (0, 1, 0, 2)
-        assert Perm.identity(4).column_code().entries == (0, 0, 0, 0)
+        assert w.column_code() == (0, 1, 0, 2)
+        assert Perm.identity(4).column_code() == (0, 0, 0, 0)
 
     def test_column_code_starts_with_zero(self):
         for n in range(1, 6):
             for w in symmetric_group(n):
-                assert w.column_code().entries[0] == 0
+                assert w.column_code()[0] == 0
 
     def test_reduced_column_code(self):
-        assert perm(1, 6, 5, 2, 3, 4).reduced_column_code().entries == (0, 0, 0, 3, 2)
-        assert Perm.identity(4).reduced_column_code().entries == (0, 0, 0)
-        assert perm(2, 4, 1, 3).reduced_column_code().entries == (1, 0, 2)
+        assert perm(1, 6, 5, 2, 3, 4).reduced_column_code() == (0, 0, 0, 3, 2)
+        assert Perm.identity(4).reduced_column_code() == (0, 0, 0)
+        assert perm(2, 4, 1, 3).reduced_column_code() == (1, 0, 2)
         with pytest.raises(ValueError):
             perm(3, 1, 4, 2).reduced_column_code()
 
@@ -139,24 +149,3 @@ class TestCodes:
         for n in range(1, 6):
             codes = [w.column_code() for w in symmetric_group(n)]
             assert len(set(codes)) == len(codes)
-
-    def test_code_validation(self):
-        with pytest.raises(ValueError):
-            Code((1, 1, 0), 3)  # repeated label
-        with pytest.raises(ValueError):
-            Code((4, 0, 0), 3)  # out of range
-        with pytest.raises(ValueError):
-            Code((0,), 3)  # wrong length
-
-    def test_code_validation_messages(self):
-        # Zeros may repeat; the checks run length, range, repeats, in order.
-        assert Code((0, 0, 0), 3).pipes == frozenset()
-        assert Code((), 1).entries == ()
-        with pytest.raises(ValueError, match="does not fit n=3"):
-            Code((9, 9, 9, 9), 3)
-        with pytest.raises(ValueError, match=r"out of range 0\.\.3: \(-1, 0, 0\)"):
-            Code((-1, 0, 0), 3)
-        with pytest.raises(ValueError, match="out of range"):
-            Code((4, 4, 0), 3)
-        with pytest.raises(ValueError, match=r"repeated pipe labels in \(0, 2, 2\)"):
-            Code((0, 2, 2), 3)

@@ -81,7 +81,7 @@ class TestEnumeration:
 
     def test_membership_is_by_inverse_reading(self):
         for d in pd_set(W2413):
-            assert Perm(trace(d).code.entries) == W2413.inverse
+            assert Perm(trace(d).code) == W2413.inverse
 
 
 class TestPolynomials:

@@ -16,7 +16,6 @@ from pipedreams.diagrams import (
     Tile,
     _exits,
 )
-from pipedreams.permutations import Code
 
 
 def oracle_trace(d: Diagram) -> TraceResult:
@@ -51,7 +50,7 @@ def oracle_trace(d: Diagram) -> TraceResult:
         if west:
             raise DiagramError(f"({i},{cols}): east connection leaves the grid")
     return TraceResult(
-        code=Code(tuple(south[1 : cols + 1]), d.n),
+        code=tuple(south[1 : cols + 1]),
         crossed_pairs=frozenset(crossed),
         cells=cells,
         lowest_horizontal=lowest,
