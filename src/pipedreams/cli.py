@@ -61,7 +61,7 @@ def _read_diagram(path: str, kinds: Sequence[Kind]) -> Diagram:
     if text.lstrip().startswith("{"):
         try:
             return Diagram.from_json(json.loads(text))
-        except (json.JSONDecodeError, RecursionError, KeyError, ValueError, DiagramError) as exc:
+        except (json.JSONDecodeError, RecursionError, ValueError, DiagramError) as exc:
             raise UsageError(f"{path}: {exc}") from None
     n = text.count("\n") + 1
     problems = []
@@ -116,21 +116,14 @@ def _cmd_map(args) -> int:
     w = _parse_w(args.w)
     fn, kind = _MAPS[args.which]
     d = _read_diagram(args.infile, (kind,))
-    try:
-        out = fn(d, w)
-    except (ValueError, DiagramError) as exc:
-        raise UsageError(str(exc)) from None
-    print(out.render_text())
+    print(fn(d, w).render_text())
     return 0
 
 
 def _cmd_construct_up(args) -> int:
     w = _parse_w(args.w)
     d = _read_diagram(args.infile, (Kind.MVPD,))
-    try:
-        cert = construct_up(d, w)
-    except (ValueError, DiagramError) as exc:
-        raise UsageError(str(exc)) from None
+    cert = construct_up(d, w)
     if args.trace:
         print("input:")
         print(d.render_text())

@@ -228,10 +228,13 @@ class Diagram:
 
     @classmethod
     def from_json(cls, data: Mapping) -> Diagram:
+        missing = [repr(key) for key in ("kind", "n", "rows") if key not in data]
+        if missing:
+            raise DiagramError("missing key(s) " + ", ".join(missing))
         kind, n, rows = data["kind"], data["n"], data["rows"]
-        ok = isinstance(kind, str) and type(n) is int and isinstance(rows, list)
+        ok = isinstance(kind, str) and type(n) is int and n >= 1 and isinstance(rows, list)
         if not ok or not all(isinstance(r, str) for r in rows):
-            raise DiagramError("expected a string kind, an integer n and a list of string rows")
+            raise DiagramError("expected a string kind, an integer n >= 1 and a list of string rows")
         return cls.parse_text(Kind(kind), n, "\n".join(rows))
 
 

@@ -17,11 +17,10 @@ from .diagrams import (
     DiagramError,
     Kind,
     Tile,
-    code_of,
+    _member_trace,
     is_member,
     members,
     signed_weight_sum,
-    trace,
     weight,
     weighty_cells,
 )
@@ -37,8 +36,10 @@ def pd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
     cross is a horizontal (west-east kept) or a marked elbow (south-east
     kept).  A cross can never be reduced to a lone north-bound strand.
     """
-    tr = trace(d)
-    if tr.code != code_of(Kind.PD, w):
+    if d.kind is not Kind.PD:
+        raise ValueError(f"expected a PD, got {d.kind.value}")
+    tr = _member_trace(d, w)
+    if tr is None:
         raise ValueError(f"diagram does not belong to {w.letters}")
     kept = frozenset(range(1, w.n + 1)) - w.inverse.lr_maxima()
     grid = []

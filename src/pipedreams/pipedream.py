@@ -2,7 +2,10 @@
 
 The pipe dreams of w are ``members(Kind.PD, w)``, the fillings of the
 staircase by crosses and bumps whose top reading is w's inverse; every
-per-permutation query reads them through the cached ``pd_set``.
+per-permutation query reads them through ``pd_set``.  The diagram lists
+that several readers share (``pd_set``, ``mvpd_set``, ``enumerate_bvpd``)
+and the small values read off them are cached; no polynomial is, as each
+is one fold over one list that no sweep or command reads twice.
 """
 
 from __future__ import annotations
@@ -63,13 +66,11 @@ def enumerate_all(n: int) -> PipeDreamIndex:
     return PipeDreamIndex(n, {w: pd_set(w) for w in symmetric_group(n)})
 
 
-@lru_cache(maxsize=None)
 def grothendieck(w: Perm) -> Poly:
     """Signed sum of cross-row monomials over the pipe dreams of w."""
     return signed_weight_sum(w, pd_set(w))
 
 
-@lru_cache(maxsize=None)
 def double_grothendieck(w: Perm) -> Poly:
     """Signed sum of the expanded (x_i + y_j - x_i*y_j) cell products."""
     return signed_weight_sum(w, pd_set(w), double=True)

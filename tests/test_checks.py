@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from pipedreams import checks
@@ -66,3 +69,19 @@ def test_the_pipe_dream_bound_comes_before_the_sweep(monkeypatch):
     for name in CHECKS:
         with pytest.raises(ValueError, match=f"n={MAX_N + 1} above the pipe-dream bound {MAX_N}"):
             run_check(name, MAX_N + 1)
+
+
+def test_a_sweep_leaves_no_polynomial_alive():
+    # Each polynomial is one fold over one diagram list that no sweep reads
+    # twice, so once the sweep is done none may be held by a cache.
+    script = (
+        "import gc\n"
+        "from pipedreams.checks import run_check\n"
+        "from pipedreams.polynomials import Poly\n"
+        "assert run_check('eq1-vs-cor37', 4).ok\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, Poly) for o in gc.get_objects()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

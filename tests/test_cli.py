@@ -154,6 +154,16 @@ class TestMap:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("which", ["phi", "psi-inv"])
+    def test_a_pd_tagged_as_an_mvpd_is_usage_error(self, capsys, tmp_path, which):
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps({"kind": "MVPD", "n": 3, "rows": ["++J", "+J.", "J.."]}))
+        code, out, err = run(capsys, "map", "--which", which, "--w", "3,2,1", "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "expected a PD, got MVPD" in err
+        assert "Traceback" not in err
+
 
 class TestConstructUp:
     def test_certificate(self, capsys, tmp_path):
@@ -372,6 +382,23 @@ class TestRender:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {src}: ")
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"kind": "PD", "n": 1}, "missing key(s) 'rows'"),
+            ({"kind": "PD", "n": -3, "rows": []}, "an integer n >= 1"),
+        ],
+        ids=["no-rows", "negative-n"],
+    )
+    def test_json_without_a_grid_names_the_field(self, capsys, tmp_path, data, named):
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps(data))
+        code, out, err = run(capsys, "render", "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {src}: ") and named in err
+        assert "Traceback" not in err
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "render", "--in", str(tmp_path / "absent.json"))

@@ -67,6 +67,14 @@ class TestRemovalMap:
         with pytest.raises(ValueError):
             pd_to_mvpd(p, W2413)
 
+    def test_a_pd_grid_tagged_as_an_mvpd_is_refused(self):
+        # The one pipe dream of 321, its tiles unchanged: it traces to the
+        # right code, but it is not a PD.
+        (p,) = pd_set(Perm.from_one_line([3, 2, 1]))
+        tagged = Diagram(Kind.MVPD, 3, p.tiles)
+        with pytest.raises(ValueError, match="expected a PD, got MVPD"):
+            pd_to_mvpd(tagged, Perm.from_one_line([3, 2, 1]))
+
     def test_example_34_three_members(self):
         ms = mvpd_set(W2413)
         assert len(ms) == 3
