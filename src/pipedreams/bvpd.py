@@ -10,31 +10,21 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .diagrams import Diagram, DiagramError, Kind, Tile, is_member, members, weight
+from .diagrams import Diagram, DiagramError, Kind, Tile, is_member, members, require_kind, weight
 from .mvpd import _mvpd_to_pd, is_top, pd_to_mvpd
 from .permutations import Perm
 from .polynomials import Poly
 
-def _require_bvpd(d: Diagram) -> None:
-    if d.kind is not Kind.BVPD:
-        raise ValueError(f"expected a BVPD, got {d.kind.value}")
-
-
-def _require_inverse_fireworks(w: Perm) -> None:
-    if not w.is_inverse_fireworks():
-        raise ValueError(f"{w.letters}: not inverse fireworks")
-
 
 def east_exit_cells(d: Diagram) -> frozenset[tuple[int, int]]:
     """Positions whose tile sends a pipe east into the next column."""
-    _require_bvpd(d)
+    require_kind(d, Kind.BVPD)
     return frozenset((i, j) for i, j, t in d.cells() if t.has("E"))
 
 
 @lru_cache(maxsize=None)
 def enumerate_bvpd(w: Perm) -> tuple[Diagram, ...]:
     """All bumpless fillings whose traced code is w's reduced column code."""
-    _require_inverse_fireworks(w)
     return members(Kind.BVPD, w)
 
 
@@ -46,7 +36,8 @@ def top_grothendieck_via_bvpd(w: Perm) -> Poly:
 def mvpd_to_bvpd(d: Diagram, w: Perm) -> Diagram:
     """Drop the first column (horizontals at the entering rows, blanks
     elsewhere) and forget the marks."""
-    _require_inverse_fireworks(w)
+    w.require_inverse_fireworks()
+    require_kind(d, Kind.MVPD)
     if not is_top(d, w):
         raise ValueError("only maximal-weight diagrams drop their first column")
     for i in range(1, d.rows + 1):
@@ -66,8 +57,8 @@ def mvpd_to_bvpd(d: Diagram, w: Perm) -> Diagram:
 def bvpd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
     """Prepend a column of horizontals at the entering rows and mark every
     south-east elbow."""
-    _require_inverse_fireworks(w)
-    _require_bvpd(d)
+    w.require_inverse_fireworks()
+    require_kind(d, Kind.BVPD)
     entering = d.entering_rows
     grid = []
     for i, row in enumerate(d.tiles, start=1):
@@ -95,6 +86,6 @@ def pd_to_bvpd(d: Diagram, w: Perm) -> Diagram:
 def predicted_cross_cells(d: Diagram) -> frozenset[tuple[int, int]]:
     """Cross positions of the pipe dream image: column 1 at the entering
     rows, plus every east-exit cell shifted one column right."""
-    _require_bvpd(d)
+    require_kind(d, Kind.BVPD)
     first = frozenset((i, 1) for i in d.entering_rows)
     return first | frozenset((i, j + 1) for i, j in east_exit_cells(d))

@@ -77,20 +77,28 @@ def _polynomial_routes_agree(report: SweepReport, w: Perm) -> None:
         report.fail(f"w={w}: double sums differ")
 
 
+def _bijection(report: SweepReport, w: Perm, sources, forward, targets, backward, reads, texts):
+    """``forward`` carries ``sources`` onto the sorted ``targets``, the two
+    ``reads`` agree on every source and its image, and ``backward`` undoes
+    ``forward``.  ``texts`` name a missed image and a disagreeing read."""
+    read_source, read_image = reads
+    missed, broken = texts
+    images = [forward(s, w) for s in sources]
+    if sorted(images, key=sort_key) != list(targets):
+        report.fail(f"w={w}: {missed}")
+    for s, image in zip(sources, images):
+        if read_source(s) != read_image(image):
+            report.fail(f"w={w}: {broken}\n{s.render_text()}")
+        if backward(image, w) != s:
+            report.fail(f"w={w}: round trip broke\n{s.render_text()}")
+
+
 def _removal_bijection(report: SweepReport, w: Perm) -> None:
-    """The pipe-removal map is a weight-preserving bijection onto the
-    directly filled marked set, with exact round trips."""
-    pds = pd_set(w)
-    ms = [pd_to_mvpd(p, w) for p in pds]
-    if len(set(ms)) != len(pds):
-        report.fail(f"w={w}: image size {len(set(ms))} != {len(pds)}")
-    for p, m in zip(pds, ms):
-        if weighty_cells(p) != weighty_cells(m):
-            report.fail(f"w={w}: weighty cells moved\n{p.render_text()}")
-        if mvpd_to_pd(m, w) != p:
-            report.fail(f"w={w}: round trip broke\n{p.render_text()}")
-    if tuple(sorted(ms, key=sort_key)) != mvpd_set(w):
-        report.fail(f"w={w}: image differs from direct enumeration")
+    """The pipe-removal map is a bijection onto the directly filled marked
+    set that keeps the weighty cells in place, with exact round trips."""
+    texts = "image differs from direct enumeration", "weighty cells moved"
+    reads = weighty_cells, weighty_cells
+    _bijection(report, w, pd_set(w), pd_to_mvpd, mvpd_set(w), mvpd_to_pd, reads, texts)
 
 
 def _top_degree_formula(report: SweepReport, w: Perm) -> None:
@@ -102,29 +110,17 @@ def _top_degree_formula(report: SweepReport, w: Perm) -> None:
 def _top_pd_bijection(report: SweepReport, w: Perm) -> None:
     """The composite map carries the bumpless set onto the maximal-cross
     pipe dreams and its crosses sit where the east exits predict."""
-    bs = enumerate_bvpd(w)
-    ps = [bvpd_to_pd(b, w) for b in bs]
-    if sorted(ps, key=sort_key) != list(top_pd_set(w)):
-        report.fail(f"w={w}: image is not the maximal-cross set")
-    for b, p in zip(bs, ps):
-        if weighty_cells(p) != predicted_cross_cells(b):
-            report.fail(f"w={w}: cross positions mispredicted\n{b.render_text()}")
-        if pd_to_bvpd(p, w) != b:
-            report.fail(f"w={w}: round trip broke\n{b.render_text()}")
+    texts = "image is not the maximal-cross set", "cross positions mispredicted"
+    reads = predicted_cross_cells, weighty_cells
+    _bijection(report, w, enumerate_bvpd(w), bvpd_to_pd, top_pd_set(w), pd_to_bvpd, reads, texts)
 
 
 def _mvpd_bvpd_bijection(report: SweepReport, w: Perm) -> None:
     """Column deletion is a weight-preserving bijection between the
     maximal-weight marked set and the bumpless set."""
-    tops = top_mvpd_set(w)
-    bs = [mvpd_to_bvpd(m, w) for m in tops]
-    if sorted(bs, key=sort_key) != list(enumerate_bvpd(w)):
-        report.fail(f"w={w}: column deletion misses the bumpless set")
-    for m, b in zip(tops, bs):
-        if weight(m) != weight(b):
-            report.fail(f"w={w}: weight changed\n{m.render_text()}")
-        if bvpd_to_mvpd(b, w) != m:
-            report.fail(f"w={w}: round trip broke\n{m.render_text()}")
+    texts = "column deletion misses the bumpless set", "weight changed"
+    tops, reads = top_mvpd_set(w), (weight, weight)
+    _bijection(report, w, tops, mvpd_to_bvpd, enumerate_bvpd(w), bvpd_to_mvpd, reads, texts)
 
 
 def _tile_census(report: SweepReport, w: Perm) -> None:
@@ -216,8 +212,8 @@ CHECKS: dict[str, tuple[Callable[[SweepReport, Perm], None], bool]] = {
 
 def run_check(name: str, n: int, inverse_fireworks_only: bool = False) -> SweepReport:
     """Sweep one check over its domain in S_n, narrowed to the inverse
-    fireworks permutations on request.  Every check reads pipe dreams, so an
-    n above their bound is refused before the sweep starts."""
+    fireworks permutations on request.  The one bound, the pipe dreams', is
+    applied to every sweep before it starts: an n above it is refused."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     require_pd_bound(n)

@@ -29,15 +29,11 @@ from .pipedream import double_grothendieck, grothendieck, pd_set, top_grothendie
 from .polynomials import Poly
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_w(text: str) -> Perm:
     try:
         return Perm.from_one_line(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad permutation {text!r}: {exc}") from None
+        raise ValueError(f"bad permutation {text!r}: {exc}") from None
 
 
 # Each map and the species it reads (bare-text files are parsed as that one).
@@ -57,12 +53,12 @@ def _read_diagram(path: str, kinds: Sequence[Kind]) -> Diagram:
     try:
         text = Path(path).read_text().rstrip("\n")
     except OSError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(str(exc)) from None
     if text.lstrip().startswith("{"):
         try:
             return Diagram.from_json(json.loads(text))
-        except (json.JSONDecodeError, RecursionError, ValueError, DiagramError) as exc:
-            raise UsageError(f"{path}: {exc}") from None
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     n = text.count("\n") + 1
     problems = []
     for kind in kinds:
@@ -70,7 +66,7 @@ def _read_diagram(path: str, kinds: Sequence[Kind]) -> Diagram:
             return Diagram.parse_text(kind, n, text)
         except DiagramError as exc:
             problems.append(f"not a {kind.value}: {exc}")
-    raise UsageError(f"{path}: " + "; ".join(problems))
+    raise ValueError(f"{path}: " + "; ".join(problems))
 
 
 def _poly_out(p: Poly, as_json: bool) -> str:
@@ -145,7 +141,7 @@ def _cmd_construct_up(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.n < 1:
-        raise UsageError("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     report = run_check(args.what, args.n, args.inverse_fireworks_only)
     for line in report.lines():
         print(line)
@@ -210,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, DiagramError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

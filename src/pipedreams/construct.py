@@ -21,6 +21,8 @@ from .diagrams import (
     Tile,
     TraceResult,
     _member_trace,
+    require_kind,
+    require_member,
     trace,
     weight,
 )
@@ -31,8 +33,7 @@ from .permutations import Perm
 def locate_droop_site(d: Diagram, i: int, j: int) -> int:
     """Check the droop preconditions at (i, j) and return the foot row.
     Only a cross site is traced: its labels tell a fake crossing."""
-    if d.kind is not Kind.MVPD:
-        raise ValueError(f"expected an MVPD, got {d.kind.value}")
+    require_kind(d, Kind.MVPD)
     t = d.tile(i, j)
     if t is Tile.CROSS:
         w_in, _, n_out, _ = trace(d).cells[(i, j)]
@@ -207,13 +208,8 @@ def construct_up(d: Diagram, w: Perm) -> Certificate:
     lower the count first (see ``droop_prime``).  Each step is a function of
     the diagram and w's set is finite, so a chain that never stops revisits
     a diagram, which raises ``DiagramError``."""
-    if not w.is_inverse_fireworks():
-        raise ValueError(f"{w.letters}: not inverse fireworks")
-    if d.kind is not Kind.MVPD:
-        raise ValueError(f"expected an MVPD, got {d.kind.value}")
-    tr = _member_trace(d, w)
-    if tr is None:
-        raise ValueError("input diagram is not in the stated set")
+    w.require_inverse_fireworks()
+    tr = require_member(d, Kind.MVPD, w)
     if is_top(d, w):
         raise ValueError("input diagram already has maximal weight")
     chain, steps = [d], []

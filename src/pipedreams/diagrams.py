@@ -34,7 +34,7 @@ from .permutations import Perm
 from .polynomials import Monomial, Poly
 
 
-class DiagramError(Exception):
+class DiagramError(ValueError):
     """A grid that cannot be traced as a pipe diagram."""
 
 
@@ -427,6 +427,22 @@ def _member_trace(d: Diagram, w: Perm) -> TraceResult | None:
     return tr if ok else None
 
 
+def require_kind(d: Diagram, kind: Kind) -> None:
+    """Refuse a diagram of another species."""
+    if d.kind is not kind:
+        article = "an" if kind is Kind.MVPD else "a"
+        raise ValueError(f"expected {article} {kind.value}, got {d.kind.value}")
+
+
+def require_member(d: Diagram, kind: Kind, w: Perm) -> TraceResult:
+    """d's checked trace, refusing a diagram of another species or not of w."""
+    require_kind(d, kind)
+    tr = _member_trace(d, w)
+    if tr is None:
+        raise ValueError(f"diagram does not belong to {w.letters}")
+    return tr
+
+
 # The fill recurses once per cell, and a grid of size n has up to n^2 cells:
 # at n = 32 that overruns Python's default limit of 1000 frames.  28^2 = 784
 # leaves room for the frames of the caller (a test runner's, say).
@@ -480,9 +496,9 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     where they must leave, which pairs have crossed and which pipes own a
     horizontal are this call's own state.  Raises ``ValueError`` above
     ``MAX_FILL_N`` and past ``MAX_LISTED`` diagrams."""
+    code = code_of(kind, w)
     if w.n > MAX_FILL_N:
         raise ValueError(f"n={w.n} above the fill's depth bound {MAX_FILL_N}")
-    code = code_of(kind, w)
     rows, cols = grid_shape(kind, w.n)
     plan = _fill_plan(kind, w.n)
     last = len(plan)

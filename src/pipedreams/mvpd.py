@@ -17,15 +17,14 @@ from .diagrams import (
     DiagramError,
     Kind,
     Tile,
-    _member_trace,
-    is_member,
     members,
+    require_member,
     signed_weight_sum,
     weight,
     weighty_cells,
 )
 from .permutations import Perm
-from .pipedream import max_cross_count, pd_from_crosses
+from .pipedream import pd_from_crosses
 from .polynomials import Poly
 
 
@@ -36,11 +35,7 @@ def pd_to_mvpd(d: Diagram, w: Perm) -> Diagram:
     cross is a horizontal (west-east kept) or a marked elbow (south-east
     kept).  A cross can never be reduced to a lone north-bound strand.
     """
-    if d.kind is not Kind.PD:
-        raise ValueError(f"expected a PD, got {d.kind.value}")
-    tr = _member_trace(d, w)
-    if tr is None:
-        raise ValueError(f"diagram does not belong to {w.letters}")
+    tr = require_member(d, Kind.PD, w)
     kept = frozenset(range(1, w.n + 1)) - w.inverse.lr_maxima()
     grid = []
     for i in range(1, d.rows + 1):
@@ -73,10 +68,7 @@ def mvpd_to_pd(d: Diagram, w: Perm) -> Diagram:
     """Reinstate the removed pipes: every weighty tile becomes a cross, and
     the rest of the staircase bumps.  A member's weighty tiles all lie on
     the staircase, since its alphabet allows none beyond."""
-    if d.kind is not Kind.MVPD:
-        raise ValueError(f"expected an MVPD, got {d.kind.value}")
-    if not is_member(d, w):
-        raise ValueError(f"diagram does not belong to {w.letters}")
+    require_member(d, Kind.MVPD, w)
     return _mvpd_to_pd(d)
 
 
@@ -106,16 +98,12 @@ def tile_census_identity(d: Diagram, w: Perm) -> bool:
 
 
 def is_top(d: Diagram, w: Perm) -> bool:
-    """Membership in the maximal-weight subset.
-
-    For inverse fireworks w this is the tile census (no bumps, no unmarked
-    elbows); otherwise compare with the maximal cross count of w's pipe
-    dreams, as the removal bijection keeps the weighty cells in place.
-    """
-    if w.is_inverse_fireworks():
-        bump, elbow = Tile.BUMP, Tile.ELBOW_SE
-        return not any(bump in row or elbow in row for row in d.tiles)
-    return weight(d).degree == max_cross_count(w)
+    """Membership in the maximal-weight subset of an inverse fireworks w
+    (any other w is refused): the tile census, no bumps and no unmarked
+    elbows."""
+    w.require_inverse_fireworks()
+    bump, elbow = Tile.BUMP, Tile.ELBOW_SE
+    return not any(bump in row or elbow in row for row in d.tiles)
 
 
 def top_mvpd_set(w: Perm) -> tuple[Diagram, ...]:

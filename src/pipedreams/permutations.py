@@ -106,6 +106,11 @@ class Perm:
             seen[v] = True
         return True
 
+    def require_inverse_fireworks(self) -> None:
+        """Refuse a permutation that is not inverse fireworks."""
+        if not self.is_inverse_fireworks():
+            raise ValueError(f"{self.letters}: not inverse fireworks")
+
     def lr_maxima(self) -> frozenset[int]:
         """Values strictly larger than every value to their left.
 
@@ -136,8 +141,7 @@ class Perm:
         Only defined for inverse fireworks permutations, whose bumpless
         diagrams live on an n x (n-1) grid.
         """
-        if not self.is_inverse_fireworks():
-            raise ValueError(f"{self.letters}: not inverse fireworks")
+        self.require_inverse_fireworks()
         return self.column_code()[1:]
 
     def pipe_travel(self) -> int:

@@ -11,7 +11,7 @@ from pipedreams.bvpd import (
     predicted_cross_cells,
     top_grothendieck_via_bvpd,
 )
-from pipedreams.diagrams import Tile, sort_key, validate, weight, weighty_cells
+from pipedreams.diagrams import Diagram, Kind, Tile, sort_key, validate, weight, weighty_cells
 from pipedreams.mvpd import is_top, mvpd_set, top_mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import grothendieck, max_cross_count, top_pd_set
@@ -134,6 +134,23 @@ class TestColumnMaps:
         for m in non_tops:
             with pytest.raises(ValueError):
                 mvpd_to_bvpd(m, W2413)
+
+    @pytest.mark.parametrize(
+        "kind, w, rows",
+        [
+            (Kind.PD, "3,2,1", "++J/+J./J.."),
+            (Kind.PD, "2,4,1,3", "+b+J/++J./bJ../J..."),
+            (Kind.BVPD, "2,4,1,3", "JrJ/-J./.../..."),
+        ],
+        ids=["pd-321", "top-pd-2413", "bvpd-2413"],
+    )
+    def test_another_species_is_refused(self, kind, w, rows):
+        # 321's PD passes the marked tile census, the 2413 grids fail it: the
+        # species is refused before either.
+        w = Perm.from_one_line(int(v) for v in w.split(","))
+        d = Diagram.parse_text(kind, w.n, rows.replace("/", "\n"))
+        with pytest.raises(ValueError, match=f"expected an MVPD, got {kind.value}"):
+            mvpd_to_bvpd(d, w)
 
 
 class TestCompositeMap:

@@ -85,3 +85,73 @@ def test_a_sweep_leaves_no_polynomial_alive():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+# Each bijection check: its forward and backward maps, the reader whose
+# planted fault breaks the pair invariant, and its two witnesses.
+BIJECTIONS = {
+    "prop36": (
+        "pd_to_mvpd",
+        "mvpd_to_pd",
+        ("weighty_cells", lambda d: d.kind),
+        "image differs from direct enumeration",
+        "weighty cells moved",
+    ),
+    "thm44": (
+        "bvpd_to_pd",
+        "pd_to_bvpd",
+        ("predicted_cross_cells", lambda b: frozenset()),
+        "image is not the maximal-cross set",
+        "cross positions mispredicted",
+    ),
+    "prop49": (
+        "mvpd_to_bvpd",
+        "bvpd_to_mvpd",
+        ("weight", lambda d: d.kind),
+        "column deletion misses the bumpless set",
+        "weight changed",
+    ),
+}
+
+
+def _planted_report(monkeypatch, name, attr, fault):
+    monkeypatch.setattr(checks, attr, fault)
+    report = run_check(name, 4)
+    assert not report.ok
+    assert all(f.startswith("w=") for f in report.failures)
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTIONS))
+def test_a_constant_forward_map_misses_the_image(monkeypatch, name):
+    forward, _, _, missed, _ = BIJECTIONS[name]
+    real = getattr(checks, forward)
+    fixed = {}
+
+    def constant(d, w):
+        # Every source of w goes to the image of the first one mapped, so
+        # the backward map still reads a diagram of w.
+        return fixed.setdefault(w, real(d, w))
+
+    report = _planted_report(monkeypatch, name, forward, constant)
+    assert any(f.endswith(missed) for f in report.failures)
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTIONS))
+def test_a_constant_backward_map_breaks_the_round_trip(monkeypatch, name):
+    forward, backward, _, _, _ = BIJECTIONS[name]
+    real = getattr(checks, backward)
+    fixed = {}
+
+    def constant(d, w):
+        return fixed.setdefault(w, real(d, w))
+
+    report = _planted_report(monkeypatch, name, backward, constant)
+    assert any("round trip broke" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTIONS))
+def test_a_broken_invariant_reader_is_caught(monkeypatch, name):
+    _, _, (reader, fault), _, broken = BIJECTIONS[name]
+    report = _planted_report(monkeypatch, name, reader, fault)
+    assert any(f.split("\n")[0].endswith(broken) for f in report.failures)

@@ -164,6 +164,19 @@ class TestMap:
         assert err.startswith("error:") and "expected a PD, got MVPD" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "w, rows",
+        [("3,2,1", ["++J", "+J.", "J.."]), ("2,4,1,3", ["+b+J", "++J.", "bJ..", "J..."])],
+        ids=["321", "top-2413"],
+    )
+    def test_mb_refuses_a_pd(self, capsys, tmp_path, w, rows):
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({"kind": "PD", "n": len(rows), "rows": rows}))
+        code, out, err = run(capsys, "map", "--which", "mb", "--w", w, "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err == "error: expected an MVPD, got PD\n"
+
 
 class TestConstructUp:
     def test_certificate(self, capsys, tmp_path):
@@ -215,6 +228,14 @@ class TestConstructUp:
         assert code == 1
         assert err.startswith("error: ") and "left the diagram set" in err
         assert "Traceback" not in err
+
+    def test_a_diagram_of_another_w_is_refused(self, capsys, tmp_path):
+        src = tmp_path / "m.txt"
+        src.write_text("-JRJ\n--J.\n....\n....")  # a marked diagram of 2413
+        code, out, err = run(capsys, "construct-up", "--w", "2,1,4,3", "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err == "error: diagram does not belong to (2, 1, 4, 3)\n"
 
     def test_top_input_rejected(self, capsys, tmp_path):
         src = tmp_path / "m.txt"

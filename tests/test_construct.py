@@ -241,10 +241,8 @@ class TestConstructUp:
     def test_rejects_non_inverse_fireworks(self):
         w = Perm.from_one_line([3, 1, 4, 2])
         for m in mvpd_set(w):
-            if not is_top(m, w):
-                with pytest.raises(ValueError):
-                    construct_up(m, w)
-                break
+            with pytest.raises(ValueError, match="not inverse fireworks"):
+                construct_up(m, w)
 
     def test_rejects_other_species(self):
         # A PD or BVPD of w is a member of w's set, but not an MVPD to raise.
@@ -296,6 +294,7 @@ class TestConstructUp:
             return member_trace(d, w)
 
         monkeypatch.setattr(construct, "_member_trace", recording_member_trace)
+        monkeypatch.setattr(diagrams, "_member_trace", recording_member_trace)
         inputs = [(W14253_INV, mvpd(5, EX59_TEXT))]
         inputs += [fake_cross_input(name) for name in ("right-n6", "left-n6")]
         for w in symmetric_group(4):

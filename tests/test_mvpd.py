@@ -213,11 +213,10 @@ class TestTopSets:
                 for m in ms:
                     assert is_top(m, w) == (len(weighty_cells(m)) == best)
 
-    def test_argmax_fallback_for_general_w(self):
-        w = Perm.from_one_line([3, 1, 4, 2])  # not inverse fireworks
-        ms = mvpd_set(w)
-        best = max(len(weighty_cells(m)) for m in ms)
-        assert all(is_top(m, w) == (len(weighty_cells(m)) == best) for m in ms)
+    def test_refuses_w_that_is_not_inverse_fireworks(self):
+        w = Perm.from_one_line([3, 1, 4, 2])
+        with pytest.raises(ValueError, match="not inverse fireworks"):
+            is_top(mvpd_set(w)[0], w)
 
     def test_first_column_of_tops(self):
         # Only blanks and horizontals survive in column 1 of a top diagram.
