@@ -65,7 +65,7 @@ def _read_diagram(path: str, kinds: Sequence[Kind]) -> Diagram:
         try:
             return Diagram.parse_text(kind, n, text)
         except DiagramError as exc:
-            problems.append(f"not a {kind.value}: {exc}")
+            problems.append(f"not {kind.noun}: {exc}")
     raise ValueError(f"{path}: " + "; ".join(problems))
 
 

@@ -100,28 +100,31 @@ _BLANK, _HORIZONTAL, _CROSS, _ELBOW_WN, _ELBOW_SE, _MARKED_SE = (
 
 
 class Kind(Enum):
-    """A diagram species: the value is its name, ``shortfall`` the columns
-    its grid lacks of n, ``staircase`` its tile alphabet on the cells
-    i + j <= n - shortfall, ``edge`` its alphabet on the anti-diagonal just
-    past them (blanks beyond), and ``weighty`` its weight-bearing tiles,
-    each given by glyphs in ``Tile``'s order.  In a BVPD a pipe turns north
-    exactly once more than it turns east, so per row the west-north elbows
-    count the entering pipe plus its south-east turns; that makes {cross,
-    horizontal, west-north elbow} the weight-bearing set there."""
+    """A diagram species: ``noun`` is its name with its article ("an MVPD";
+    the value is the name), ``shortfall`` the columns its grid lacks of n,
+    ``staircase`` its tile alphabet on the cells i + j <= n - shortfall,
+    ``edge`` its alphabet on the anti-diagonal just past them (blanks
+    beyond), and ``weighty`` its weight-bearing tiles, each given by glyphs
+    in ``Tile``'s order.  In a BVPD a pipe turns north exactly once more
+    than it turns east, so per row the west-north elbows count the entering
+    pipe plus its south-east turns; that makes {cross, horizontal,
+    west-north elbow} the weight-bearing set there."""
 
-    PD = "PD", 0, "+b", "J", "+"
-    MVPD = "MVPD", 0, ".-+JrbR", ".J", "-+R"
-    BVPD = "BVPD", 1, ".-+Jr", ".J", "-+J"
+    PD = "a PD", 0, "+b", "J", "+"
+    MVPD = "an MVPD", 0, ".-+JrbR", ".J", "-+R"
+    BVPD = "a BVPD", 1, ".-+Jr", ".J", "-+J"
 
+    noun: str
     shortfall: int
     staircase: tuple[Tile, ...]
     edge: tuple[Tile, ...]
     weighty: tuple[Tile, ...]
 
-    def __new__(cls, name: str, shortfall: int, staircase: str, edge: str, weighty: str) -> Kind:
+    def __new__(cls, noun: str, shortfall: int, staircase: str, edge: str, weighty: str) -> Kind:
         kind = object.__new__(cls)
-        kind._value_ = name
+        kind._value_ = noun.split()[1]
         # Plain attributes, as on ``Tile``: read per diagram, with no hashing.
+        kind.noun = noun
         kind.shortfall = shortfall
         kind.staircase = _tiles(staircase)
         kind.edge = _tiles(edge)
@@ -370,7 +373,7 @@ def _checked_trace(d: Diagram) -> tuple[list[str], TraceResult | None]:
     # about twice as fast as the ``tuple.__contains__`` method descriptor.
     if not all(map(contains, alphabets, chain.from_iterable(d.tiles))):
         out = [
-            f"({i},{j}): {t.value!r} not allowed in a {d.kind.value} there"
+            f"({i},{j}): {t.value!r} not allowed in {d.kind.noun} there"
             for (i, j, t), allowed in zip(d.cells(), alphabets)
             if t not in allowed
         ]
@@ -430,8 +433,7 @@ def _member_trace(d: Diagram, w: Perm) -> TraceResult | None:
 def require_kind(d: Diagram, kind: Kind) -> None:
     """Refuse a diagram of another species."""
     if d.kind is not kind:
-        article = "an" if kind is Kind.MVPD else "a"
-        raise ValueError(f"expected {article} {kind.value}, got {d.kind.value}")
+        raise ValueError(f"expected {kind.noun}, got {d.kind.value}")
 
 
 def require_member(d: Diagram, kind: Kind, w: Perm) -> TraceResult:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pipedreams import checks
+from pipedreams import checks, mvpd
 from pipedreams.checks import CHECKS, run_check
 from pipedreams.permutations import symmetric_group
 from pipedreams.pipedream import MAX_N
@@ -155,3 +155,17 @@ def test_a_broken_invariant_reader_is_caught(monkeypatch, name):
     _, _, (reader, fault), _, broken = BIJECTIONS[name]
     report = _planted_report(monkeypatch, name, reader, fault)
     assert any(f.split("\n")[0].endswith(broken) for f in report.failures)
+
+
+def test_a_missing_marked_diagram_breaks_both_sums(monkeypatch):
+    # Both names are patched, so the fault reaches whichever one the check's
+    # body reads, directly or through the MVPD sums.
+    real = mvpd.mvpd_set
+    monkeypatch.setattr(mvpd, "mvpd_set", lambda w: real(w)[:-1])
+    monkeypatch.setattr(checks, "mvpd_set", lambda w: real(w)[:-1])
+    report = run_check("eq1-vs-cor37", 4)
+    assert not report.ok
+    ws = [str(w) for w in symmetric_group(4)]
+    assert report.failures == [
+        f"w={w}: {which} sums differ" for w in ws for which in ("single-variable", "double")
+    ]

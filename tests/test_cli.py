@@ -177,6 +177,26 @@ class TestMap:
         assert out == ""
         assert err == "error: expected an MVPD, got PD\n"
 
+    @pytest.mark.parametrize(
+        "which, w, rows",
+        [
+            ("mb", "2,1,4,3", "-JRJ\n--J.\n....\n...."),
+            ("bm", "2,1,4,3", "JrJ\n-J.\n...\n..."),
+            ("psi", "2,1,4,3", "JrJ\n-J.\n...\n..."),
+            ("mb", "1,2,3", "-JRJ\n--J.\n....\n...."),
+        ],
+        ids=["mb", "bm", "psi", "mb-size"],
+    )
+    def test_a_diagram_of_2413_is_refused_for_another_w(self, capsys, tmp_path, which, w, rows):
+        # The maps check their input, so the diagram is blamed, not the image.
+        src = tmp_path / "d.txt"
+        src.write_text(rows)
+        code, out, err = run(capsys, "map", "--which", which, "--w", w, "--in", str(src))
+        assert code == 2
+        assert out == ""
+        want = Perm.from_one_line(int(v) for v in w.split(",")).letters
+        assert err == f"error: diagram does not belong to {want}\n"
+
 
 class TestConstructUp:
     def test_certificate(self, capsys, tmp_path):
@@ -236,6 +256,14 @@ class TestConstructUp:
         assert code == 2
         assert out == ""
         assert err == "error: diagram does not belong to (2, 1, 4, 3)\n"
+
+    def test_bare_text_of_no_mvpd_names_the_species_once(self, capsys, tmp_path):
+        src = tmp_path / "m.txt"
+        src.write_text("++\n++")
+        code, out, err = run(capsys, "construct-up", "--w", "2,1", "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {src}: not an MVPD: (1,2): '+' not allowed in an MVPD there;")
 
     def test_top_input_rejected(self, capsys, tmp_path):
         src = tmp_path / "m.txt"

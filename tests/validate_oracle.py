@@ -15,7 +15,7 @@ def oracle_validate(d: Diagram) -> list[str]:
     """Every tile outside its alphabet, else the tracer's first edge
     problem, else every marked elbow whose pipe has no lower horizontal."""
     out = [
-        f"({i},{j}): {t.value!r} not allowed in a {d.kind.value} there"
+        f"({i},{j}): {t.value!r} not allowed in {d.kind.noun} there"
         for i, j, t in d.cells()
         if t not in allowed_tiles(d.kind, d.n, i, j)
     ]
