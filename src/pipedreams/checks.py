@@ -80,16 +80,21 @@ def _polynomial_routes_agree(report: SweepReport, w: Perm) -> None:
 def _bijection(report: SweepReport, w: Perm, sources, forward, targets, backward, reads, texts):
     """``forward`` carries ``sources`` onto the sorted ``targets``, the two
     ``reads`` agree on every source and its image, and ``backward`` undoes
-    ``forward``.  ``texts`` name a missed image and a disagreeing read."""
+    ``forward``.  ``texts`` name a missed image and a disagreeing read.
+
+    ``backward`` refuses a diagram not of w, so the round trip is run only
+    on the images among ``targets``; a missed image is reported as such."""
     read_source, read_image = reads
     missed, broken = texts
     images = [forward(s, w) for s in sources]
-    if sorted(images, key=sort_key) != list(targets):
+    onto = sorted(images, key=sort_key) == list(targets)
+    if not onto:
         report.fail(f"w={w}: {missed}")
+        targets = frozenset(targets)
     for s, image in zip(sources, images):
         if read_source(s) != read_image(image):
             report.fail(f"w={w}: {broken}\n{s.render_text()}")
-        if backward(image, w) != s:
+        if (onto or image in targets) and backward(image, w) != s:
             report.fail(f"w={w}: round trip broke\n{s.render_text()}")
 
 

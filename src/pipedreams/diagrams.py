@@ -157,7 +157,8 @@ class Diagram:
 
     def __post_init__(self) -> None:
         rows, cols = grid_shape(self.kind, self.n)
-        if len(self.tiles) != rows or any(len(r) != cols for r in self.tiles):
+        # Mapped builtins: the check runs per listed diagram, at C speed.
+        if len(self.tiles) != rows or any(map(cols.__ne__, map(len, self.tiles))):
             raise ValueError(
                 f"expected {rows}x{cols} grid for {self.kind.value} of size {self.n}"
             )
@@ -292,9 +293,11 @@ def _exits(t: Tile, w_in: int, s_in: int, crossed: set[frozenset[int]]) -> tuple
 
 @lru_cache(maxsize=None)
 def _trace_plan(kind: Kind, n: int) -> tuple[tuple[int, int], ...]:
-    """The (i, j) cells of ``_fill_plan``, in its order: the keys of
-    ``TraceResult.cells``, for every grid of the species and size."""
-    return tuple((i, j) for i, j, _, _ in _fill_plan(kind, n))
+    """Every (i, j) cell of the grid in ``trace``'s order (bottom to top,
+    left to right): the keys of ``TraceResult.cells``, for every grid of the
+    species and size."""
+    rows, cols = grid_shape(kind, n)
+    return tuple((i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1))
 
 
 _NO_PIPE: CellLabels = (0, 0, 0, 0)
@@ -396,7 +399,8 @@ def mark_violations(d: Diagram, tr: TraceResult) -> list[str]:
 
 
 def sort_key(d: Diagram) -> str:
-    """Canonical ordering key for sets of diagrams."""
+    """Canonical ordering key for sets of diagrams: the rendered text, which
+    ``members`` joins from row texts it reads once per shared row."""
     return d.render_text()
 
 
@@ -451,28 +455,38 @@ def require_member(d: Diagram, kind: Kind, w: Perm) -> TraceResult:
 MAX_FILL_N = 28
 
 # The most diagrams one fill lists.  It bounds the count and the memory of a
-# listing, not the time of a fill whose dead branches are many.
+# listing, and the time of a pipe-dream fill, which enters no dead branch;
+# not the time of an MVPD or BVPD fill, which still enters some.
 MAX_LISTED = 100_000
 
 
 @lru_cache(maxsize=None)
-def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple, bool], ...]:
+def _fill_plan(kind: Kind, n: int) -> tuple[tuple[tuple[int, int, tuple, bool], ...], bool]:
     """``members``' cells in the tracer's order, each as (i, j, opts, marks)
     with its unmarked tiles in four slots, opts[takes a west pipe][takes a
-    south pipe], and ``marks`` true iff it may hold a marked elbow.  Read
-    off ``allowed_tiles``, it is a function of the species and the size alone."""
+    south pipe], and ``marks`` true iff it may hold a marked elbow; and
+    whether any cell may (only then are horizontals counted).
+
+    A cell past the anti-diagonal is left out unless it opens its row: its
+    alphabet is a blank, and no pipe reaches it, since the edge tiles send
+    none east and the cells below it are blanks too.  A row's first cell is
+    kept, so the row below still freezes there and a pipe entering it is
+    still refused.  Read off ``allowed_tiles``, the plan is a function of the
+    species and the size alone."""
     rows, cols = grid_shape(kind, n)
     plan = []
     for i in range(rows, 0, -1):
         for j in range(1, cols + 1):
             alphabet = allowed_tiles(kind, n, i, j)
+            if j > 1 and alphabet == (_BLANK,):
+                continue
             opts: tuple[tuple[list[Tile], ...], ...] = (([], []), ([], []))
             for t in alphabet:
                 if t is not _MARKED_SE:
                     opts[t.west][t.south].append(t)
             by_w = tuple(tuple(map(tuple, by_s)) for by_s in opts)
             plan.append((i, j, by_w, _MARKED_SE in alphabet))
-    return tuple(plan)
+    return tuple(plan), any(marks for _, _, _, marks in plan)
 
 
 def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
@@ -485,16 +499,23 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     east, so a tile is dead when it sends a label r east out of column j with
     t(r) < j + 1, or north with t(r) < j, where t(r) is the column at which r
     must leave the top edge; in row 1 the north label must be the code entry.
-    Every complete filling therefore reads w's code, with no trace after.
+    A real crossing is dead when t(south label) > t(west label): after it
+    the west pipe runs east of the south one, and the pair can never cross
+    back, since ``_exits`` bounces a pair that has crossed.  Every complete
+    filling therefore reads w's code, with no trace after.  On a pipe dream
+    these rules leave no dead branch (none on S_1 to S_6); the MVPD and BVPD
+    fills still enter some.
 
     A marked elbow routes as an unmarked one, so after the fillings below a
     south-east elbow, the cell is re-placed marked and filled again if its
     pipe owns a horizontal, all of which lie lower (``markable``'s rule).
     Horizontals are counted only in a species with marks.  Each finished row
     is frozen into one tuple as the sweep moves above it, and the diagrams
-    listed below that point share it.
+    listed below that point share it; its text, of which the ``sort_key`` of
+    each is made, is read once.
 
-    The plan, ``_fill_plan(kind, n)``, holds nothing of w: which pipes enter,
+    The plan, ``_fill_plan(kind, n)``, holds nothing of w and skips the
+    cells past the anti-diagonal that no pipe reaches: which pipes enter,
     where they must leave, which pairs have crossed and which pipes own a
     horizontal are this call's own state.  Raises ``ValueError`` above
     ``MAX_FILL_N`` and past ``MAX_LISTED`` diagrams."""
@@ -502,9 +523,8 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     if w.n > MAX_FILL_N:
         raise ValueError(f"n={w.n} above the fill's depth bound {MAX_FILL_N}")
     rows, cols = grid_shape(kind, w.n)
-    plan = _fill_plan(kind, w.n)
+    plan, counting = _fill_plan(kind, w.n)
     last = len(plan)
-    counting = any(marks for _, _, _, marks in plan)
     entering = {r for r in code if r}
     exit_col = [0] * (w.n + 1)  # exit_col[r]: the column at which label r leaves the top
     for c, r in enumerate(code, start=1):
@@ -516,11 +536,22 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
     owned = [0] * (w.n + 1)  # owned[r]: horizontals placed on pipe r
     crossed: set[frozenset[int]] = set()
-    found: list[Diagram] = []
+    # Each listed diagram under its ``sort_key``, joined from the texts of
+    # its rows.  A row's text is read once, here rather than in ``fill``
+    # (whose frame stays small): a row refrozen since the last listing is a
+    # new tuple, and the rows below a row that was not refrozen were not.
+    found: dict[str, Diagram] = {}
+    read: list[tuple[Tile, ...]] = [()] * rows  # read[r]: the row whose text is texts[r]
+    texts = [""] * rows
 
     def emit() -> None:
         done[0] = tuple(grid[0])
-        found.append(Diagram(kind, w.n, tuple(done)))
+        for r, row in enumerate(done):
+            if row is read[r]:
+                break
+            read[r] = row
+            texts[r] = _row_text(row)
+        found["\n".join(texts)] = Diagram(kind, w.n, tuple(done))
         if len(found) > MAX_LISTED:
             raise ValueError(f"{w.letters}: more than {MAX_LISTED} {kind.value} diagrams")
 
@@ -542,6 +573,7 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
                 not (e_out and exit_col[e_out] <= j)
                 and not (n_out and exit_col[n_out] < j)
                 and (i > 1 or n_out == top[j])
+                and not (t is _CROSS and n_out == s_in and exit_col[s_in] > exit_col[west])
             ):
                 grid[i - 1][j - 1] = t
                 south[j] = n_out
@@ -559,7 +591,7 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
         south[j] = s_in
 
     fill(0, 0)
-    return tuple(sorted(found, key=sort_key))
+    return tuple(map(found.__getitem__, sorted(found)))
 
 
 def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
@@ -638,7 +670,9 @@ def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -
     field = (1 << width) - 1
     half = width * n
     xmask = (1 << half) - 1
-    kept = {e: c for e, c in acc.items() if c}
-    halves = {e & xmask for e in kept} | {e >> half for e in kept}
+    halves = {e & xmask for e in acc} | {e >> half for e in acc}
     exps = {h: tuple(h >> width * k & field for k in range(n)) for h in halves}
-    return Poly(n, {Monomial(exps[e & xmask], exps[e >> half]): c for e, c in kept.items()})
+    # ``Poly`` drops the zero terms.  ``tuple.__new__`` builds each key
+    # without the Python-level ``__new__`` of the NamedTuple.
+    new = tuple.__new__
+    return Poly(n, {new(Monomial, (exps[e & xmask], exps[e >> half])): c for e, c in acc.items()})

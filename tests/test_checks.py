@@ -4,8 +4,10 @@ import sys
 import pytest
 
 from pipedreams import checks, mvpd
+from pipedreams.bvpd import enumerate_bvpd
 from pipedreams.checks import CHECKS, run_check
-from pipedreams.permutations import symmetric_group
+from pipedreams.cli import main
+from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import MAX_N
 
 
@@ -135,6 +137,18 @@ def test_a_constant_forward_map_misses_the_image(monkeypatch, name):
 
     report = _planted_report(monkeypatch, name, forward, constant)
     assert any(f.endswith(missed) for f in report.failures)
+
+
+def test_an_image_of_another_w_is_a_witness_not_an_abort(monkeypatch, capsys):
+    # The backward map refuses an image that is not of w at its door; the
+    # sweep must report the missed image instead of stopping on the refusal.
+    identity = Perm.identity(4)
+    (elsewhere,) = enumerate_bvpd(identity)
+    monkeypatch.setattr(checks, "mvpd_to_bvpd", lambda d, w: elsewhere)
+    assert main(["check", "--what", "prop49", "--n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "  witness: w=1243: column deletion misses the bumpless set" in out.split("\n")
+    assert "round trip broke" not in out
 
 
 @pytest.mark.parametrize("name", sorted(BIJECTIONS))

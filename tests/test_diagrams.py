@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -507,6 +508,25 @@ class TestEnumerateStructures:
             )
             assert set(ds) == {pd_from_crosses(n, c) for c in subsets}
 
+    def test_fillings_past_the_oracle_reach(self):
+        # S_6 is past what the unpruned oracle fills in Tier-1's time: the
+        # pruned fill lists 2^15 distinct pipe dreams there, and as many
+        # MVPDs, which the removal bijection puts in one-to-one
+        # correspondence with them.
+        ws = list(symmetric_group(6))
+        pds = [d for w in ws for d in members(Kind.PD, w)]
+        assert len(pds) == len(set(pds)) == 2**15
+        assert sum(len(members(Kind.MVPD, w)) for w in ws) == 2**15
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_the_trace_plan_keeps_every_cell(self, kind):
+        # The fill plan skips the cells no pipe reaches; the tracer's labels
+        # are still keyed by every cell of the grid, in its sweep order.
+        for n in range(1, 7):
+            rows, cols = grid_shape(kind, n)
+            cells = [(i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1)]
+            assert list(diagrams._trace_plan(kind, n)) == cells
+
     def test_alphabet_regions(self):
         assert allowed_tiles(Kind.PD, 3, 1, 1) == (Tile.CROSS, Tile.BUMP)
         assert allowed_tiles(Kind.PD, 3, 1, 3) == (Tile.ELBOW_WN,)
@@ -572,6 +592,30 @@ class TestPrunedFill:
                 if kind is not Kind.BVPD or w.is_inverse_fireworks():
                     assert members(kind, w)
         assert len(members(Kind.MVPD, Perm.from_one_line([7, 6, 5, 4, 3, 2, 1]))) == 1
+
+    def test_the_pd_fill_enters_no_dead_branch(self):
+        # Every cell the PD fill enters lies on a filling it lists: each
+        # ``fill`` call lists a diagram (an ``emit`` call) below it.
+        listed, dead, pending = [0], [0], []
+
+        def count(frame, event, arg):
+            if frame.f_code.co_filename != diagrams.__file__:
+                return
+            name = frame.f_code.co_name
+            if name == "emit" and event == "call":
+                listed[0] += 1
+            elif name == "fill" and event == "call":
+                pending.append(listed[0])
+            elif name == "fill" and event == "return":
+                dead[0] += pending.pop() == listed[0]
+
+        sys.setprofile(count)
+        try:
+            total = sum(len(members(Kind.PD, w)) for n in range(1, 6) for w in symmetric_group(n))
+        finally:
+            sys.setprofile(None)
+        assert listed[0] == total == 1 + 2 + 8 + 64 + 1024
+        assert dead[0] == 0 and not pending
 
     def test_canonical_order_digest(self):
         # Pins every diagram and its place in the canonical order for all w
