@@ -98,9 +98,11 @@ def droop_prime(d: Diagram, i: int, j: int) -> dict[tuple[int, int], Tile]:
 def find_pattern(d: Diagram, tr: TraceResult, w: Perm) -> tuple[int, int]:
     """The droop site of a diagram with no upgrade, given its trace: the
     lowest, then rightmost, bump-or-elbow with a horizontal on its right;
-    failing that, the lowest, then rightmost, such fake cross that passes
-    the droop preconditions.  Fake crosses come last: taken first, they
-    break diagrams that a bump or elbow site raises."""
+    failing that, the lowest, then rightmost, such fake cross.  Fake crosses
+    come last: taken first, they break diagrams that a bump or elbow site
+    raises.  Such a fake cross passes the droop preconditions: the edges
+    force horizontals beside its run of crosses, so its foot can only fail
+    on a bump, which has a horizontal on its right and is taken first."""
     rows, cols = range(d.rows, 0, -1), range(d.cols - 1, 0, -1)
     sites = [(i, j) for i in rows for j in cols if d.tile(i, j + 1) is Tile.HORIZONTAL]
     for i, j in sites:
@@ -109,11 +111,7 @@ def find_pattern(d: Diagram, tr: TraceResult, w: Perm) -> tuple[int, int]:
     for i, j in sites:
         w_in, _, n_out, _ = tr.cells[(i, j)]
         if d.tile(i, j) is Tile.CROSS and n_out == w_in:
-            try:
-                _foot(d, i, j)
-                return i, j
-            except DiagramError:
-                pass
+            return i, j
     raise DiagramError(
         "no droop pattern in a saturated non-maximal diagram "
         f"of {w.letters}: falsifying witness\n{d.render_text()}"

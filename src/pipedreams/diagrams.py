@@ -202,9 +202,6 @@ class Diagram:
     def render_text(self) -> str:
         return "\n".join(map(_row_text, self.tiles))
 
-    def __str__(self) -> str:
-        return self.render_text()
-
     @classmethod
     def parse_text(cls, kind: Kind, n: int, text: str) -> Diagram:
         rows = text.split("\n")
@@ -291,15 +288,6 @@ def _exits(t: Tile, w_in: int, s_in: int, crossed: set[frozenset[int]]) -> tuple
     return w_in, s_in  # a bump, a bouncing cross, or a blank (0, 0)
 
 
-@lru_cache(maxsize=None)
-def _trace_plan(kind: Kind, n: int) -> tuple[tuple[int, int], ...]:
-    """Every (i, j) cell of the grid in ``trace``'s order (bottom to top,
-    left to right): the keys of ``TraceResult.cells``, for every grid of the
-    species and size."""
-    rows, cols = grid_shape(kind, n)
-    return tuple((i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1))
-
-
 _NO_PIPE: CellLabels = (0, 0, 0, 0)
 
 
@@ -307,14 +295,12 @@ def trace(d: Diagram) -> TraceResult:
     """Propagate pipe labels cell by cell, bottom-to-top, left-to-right,
     through ``_exits``.
 
-    Each cell's labels are appended to one list in ``_trace_plan``'s order,
-    and ``cells`` is zipped from the two once the sweep is done.  A blank
-    that no pipe reaches is consistent and routes nothing, so it is labelled
-    without a call."""
+    Each cell's labels are keyed into ``cells`` as the sweep reaches it, so
+    its keys run in the sweep's order.  A blank that no pipe reaches is
+    consistent and routes nothing, so it is labelled without a call."""
     rows, cols = d.rows, d.cols
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
-    labels: list[CellLabels] = []
-    append = labels.append
+    cells: dict[tuple[int, int], CellLabels] = {}
     lowest: dict[int, int] = {}
     crossed: set[frozenset[int]] = set()
     for i in range(rows, 0, -1):
@@ -325,7 +311,7 @@ def trace(d: Diagram) -> TraceResult:
         for j, t in enumerate(row, start=1):
             s_in = south[j]
             if t is _BLANK and not (west or s_in):
-                append(_NO_PIPE)
+                cells[i, j] = _NO_PIPE
                 continue
             if (not west) == t.west:
                 raise DiagramError(f"({i},{j - 1})-({i},{j}): east/west edges disagree")
@@ -334,7 +320,7 @@ def trace(d: Diagram) -> TraceResult:
                     raise DiagramError(f"({i},{j}): south connection leaves the grid")
                 raise DiagramError(f"({i},{j})-({i + 1},{j}): south/north edges disagree")
             n_out, e_out = _exits(t, west, s_in, crossed)
-            append((west, s_in, n_out, e_out))
+            cells[i, j] = (west, s_in, n_out, e_out)
             if t is _HORIZONTAL:
                 # The sweep runs bottom-up, so the first horizontal met is the lowest.
                 lowest.setdefault(west, i)
@@ -345,7 +331,7 @@ def trace(d: Diagram) -> TraceResult:
     return TraceResult(
         code=tuple(south[1:]),
         crossed_pairs=frozenset(crossed),
-        cells=dict(zip(_trace_plan(d.kind, d.n), labels)),
+        cells=cells,
         lowest_horizontal=lowest,
     )
 
@@ -384,18 +370,15 @@ def _checked_trace(d: Diagram) -> tuple[list[str], TraceResult | None]:
         tr = trace(d)
     except DiagramError as exc:
         return out + [str(exc)], None
-    return out or mark_violations(d, tr), tr
-
-
-def mark_violations(d: Diagram, tr: TraceResult) -> list[str]:
-    """Marked elbows whose pipe has no horizontal tile in any lower row."""
-    return [
+    # Past the alphabet and the edges: every marked elbow whose pipe has no
+    # horizontal tile in any lower row.
+    return out or [
         f"({i},{j}): mark on pipe {tr.cells[(i, j)][1]} with no lower horizontal"
         for i, row in enumerate(d.tiles, start=1)
         if _MARKED_SE in row
         for j, t in enumerate(row, start=1)
         if t is _MARKED_SE and not tr.markable(i, j)
-    ]
+    ], tr
 
 
 def sort_key(d: Diagram) -> str:
@@ -449,9 +432,10 @@ def require_member(d: Diagram, kind: Kind, w: Perm) -> TraceResult:
     return tr
 
 
-# The fill recurses once per cell, and a grid of size n has up to n^2 cells:
-# at n = 32 that overruns Python's default limit of 1000 frames.  28^2 = 784
-# leaves room for the frames of the caller (a test runner's, say).
+# The fill recurses once per cell of its plan: n(n + 1)/2 cells for a pipe
+# dream or an MVPD of size n (406 at n = 28), n(n - 1)/2 + 1 for a BVPD (379).
+# At 28 that leaves over half of Python's default limit of 1000 frames to the
+# frames of the caller (a test runner's, say).
 MAX_FILL_N = 28
 
 # The most diagrams one fill lists.  It bounds the count and the memory of a
@@ -461,11 +445,10 @@ MAX_LISTED = 100_000
 
 
 @lru_cache(maxsize=None)
-def _fill_plan(kind: Kind, n: int) -> tuple[tuple[tuple[int, int, tuple, bool], ...], bool]:
+def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple, bool], ...]:
     """``members``' cells in the tracer's order, each as (i, j, opts, marks)
     with its unmarked tiles in four slots, opts[takes a west pipe][takes a
-    south pipe], and ``marks`` true iff it may hold a marked elbow; and
-    whether any cell may (only then are horizontals counted).
+    south pipe], and ``marks`` true iff it may hold a marked elbow.
 
     A cell past the anti-diagonal is left out unless it opens its row: its
     alphabet is a blank, and no pipe reaches it, since the edge tiles send
@@ -486,7 +469,7 @@ def _fill_plan(kind: Kind, n: int) -> tuple[tuple[tuple[int, int, tuple, bool], 
                     opts[t.west][t.south].append(t)
             by_w = tuple(tuple(map(tuple, by_s)) for by_s in opts)
             plan.append((i, j, by_w, _MARKED_SE in alphabet))
-    return tuple(plan), any(marks for _, _, _, marks in plan)
+    return tuple(plan)
 
 
 def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
@@ -508,22 +491,23 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
 
     A marked elbow routes as an unmarked one, so after the fillings below a
     south-east elbow, the cell is re-placed marked and filled again if its
-    pipe owns a horizontal, all of which lie lower (``markable``'s rule).
-    Horizontals are counted only in a species with marks.  Each finished row
-    is frozen into one tuple as the sweep moves above it, and the diagrams
-    listed below that point share it; its text, of which the ``sort_key`` of
-    each is made, is read once.
+    pipe owns a horizontal, all of which lie lower (``markable``'s rule);
+    each horizontal is counted on its pipe where it is placed, and each
+    cell's ``marks`` says where a mark may go.  Each finished row is frozen
+    into one tuple as the sweep moves above it, and the diagrams listed
+    below that point share it; its text, of which the ``sort_key`` of each
+    is made, is read once.
 
-    The plan, ``_fill_plan(kind, n)``, holds nothing of w and skips the
-    cells past the anti-diagonal that no pipe reaches: which pipes enter,
-    where they must leave, which pairs have crossed and which pipes own a
-    horizontal are this call's own state.  Raises ``ValueError`` above
-    ``MAX_FILL_N`` and past ``MAX_LISTED`` diagrams."""
+    The plan, ``_fill_plan(kind, n)``, is the cells alone: it holds nothing
+    of w and skips the cells past the anti-diagonal that no pipe reaches.
+    Which pipes enter, where they must leave, which pairs have crossed and
+    which pipes own a horizontal are this call's own state.  Raises
+    ``ValueError`` above ``MAX_FILL_N`` and past ``MAX_LISTED`` diagrams."""
     code = code_of(kind, w)
     if w.n > MAX_FILL_N:
         raise ValueError(f"n={w.n} above the fill's depth bound {MAX_FILL_N}")
     rows, cols = grid_shape(kind, w.n)
-    plan, counting = _fill_plan(kind, w.n)
+    plan = _fill_plan(kind, w.n)
     last = len(plan)
     entering = {r for r in code if r}
     exit_col = [0] * (w.n + 1)  # exit_col[r]: the column at which label r leaves the top
@@ -577,7 +561,7 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
             ):
                 grid[i - 1][j - 1] = t
                 south[j] = n_out
-                if t is _HORIZONTAL and counting:
+                if t is _HORIZONTAL:
                     owned[west] += 1
                     fill(k + 1, e_out)
                     owned[west] -= 1

@@ -64,18 +64,14 @@ class Perm:
         n = self.n
         return sum(1 for i in range(n) for j in range(i + 1, n) if seq[i] > seq[j])
 
-    def descents(self) -> tuple[int, ...]:
-        """Positions i with w(i) > w(i+1)."""
-        seq = self.letters
-        return tuple(i for i in range(1, self.n) if seq[i - 1] > seq[i])
-
     def major_index(self) -> int:
-        """Sum of the descent positions.
+        """Sum of the descent positions, the i with w(i) > w(i+1).
 
         >>> Perm.from_one_line([1, 4, 5, 6, 3, 2]).major_index()
         9
         """
-        return sum(self.descents())
+        seq = self.letters
+        return sum(i for i in range(1, self.n) if seq[i - 1] > seq[i])
 
     def is_fireworks(self) -> bool:
         """True iff the first entries of the decreasing runs increase.

@@ -1,8 +1,8 @@
 """Exact sparse polynomials over the integers in x_1..x_n and y_1..y_n.
 
 Coefficients are Python ints (arbitrary precision); zero coefficients are
-never stored.  Terms print and serialize in graded-lexicographic order so
-all outputs are stable.
+never stored, and ``Poly.__init__`` is the one place that drops them.  Terms
+print and serialize in graded-lexicographic order so all outputs are stable.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ class Monomial(NamedTuple):
 
     x: tuple[int, ...]
     y: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
 
     @property
     def degree(self) -> int:
@@ -73,9 +69,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Poly) and self.n == other.n and self._terms == other._terms
@@ -85,11 +78,7 @@ class Poly:
         self._check_compatible(other)
         out = dict(self._terms)
         for m, c in other._terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+            out[m] = out.get(m, 0) + c
         return Poly(self.n, out)
 
     def __mul__(self, other: Poly) -> Poly:
@@ -98,11 +87,7 @@ class Poly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = m1 * m2
-                v = out.get(m, 0) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(self.n, out)
 
     def scale(self, k: int) -> Poly:

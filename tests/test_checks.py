@@ -9,6 +9,7 @@ from pipedreams.checks import CHECKS, run_check
 from pipedreams.cli import main
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import MAX_N
+from pipedreams.polynomials import Monomial
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -51,13 +52,61 @@ def test_failure_lines_carry_witnesses():
 
 def test_planted_degree_fails_both_support_checks(monkeypatch):
     # One degree too high makes every top monomial non-maximal, and a top
-    # monomial neither grows nor divides another.
+    # monomial neither grows nor divides another.  It also breaks the
+    # degree's match with the major index on the five fireworks w of S_3
+    # (all but 312).  The degree's symmetry under inversion needs a fault
+    # that differs between w and its inverse: it breaks on the two w of S_3
+    # that are not involutions.
     real = checks.max_cross_count
-    monkeypatch.setattr(checks, "max_cross_count", lambda w: real(w) + 1)
-    for name, witness in [("conj12", "divides nothing else"), ("conj13", "has no x_i growth")]:
+    one_up = lambda w: real(w) + 1
+    one_sided = lambda w: real(w) + (w.letters < w.inverse.letters)
+    planted = [
+        ("conj12", one_up, "divides nothing else", 6),
+        ("conj13", one_up, "has no x_i growth", 6),
+        ("prop25", one_up, "degree/major-index equivalence fails", 5),
+        ("cor26", one_sided, "degree changes under inversion", 2),
+    ]
+    for name, fault, witness, count in planted:
+        monkeypatch.setattr(checks, "max_cross_count", fault)
         report = run_check(name, 3)
-        assert len(report.failures) == 6, name
+        assert len(report.failures) == count, name
         assert all(witness in f for f in report.failures), name
+
+
+def test_a_planted_bumpless_sum_fails_thm43(monkeypatch):
+    real = checks.top_grothendieck_via_bvpd
+    monkeypatch.setattr(checks, "top_grothendieck_via_bvpd", lambda w: real(w).scale(2))
+    report = run_check("thm43", 3)
+    ws = [w for w in symmetric_group(3) if w.is_inverse_fireworks()]
+    assert report.failures == [f"w={w}: bumpless formula disagrees with enumeration" for w in ws]
+
+
+def test_the_marked_set_of_another_w_fails_lemma46(monkeypatch):
+    # The identity's diagrams spend no tile on pipe travel; every other w of
+    # S_3 has some, so its census fails on each of them.
+    real = checks.mvpd_set
+    monkeypatch.setattr(checks, "mvpd_set", lambda w: real(Perm.identity(w.n)))
+    report = run_check("lemma46", 3)
+    assert report.failures
+    assert {f.split(":")[0] for f in report.failures} == {
+        f"w={w}" for w in symmetric_group(3) if w != Perm.identity(3)
+    }
+    assert all(f.split("\n")[0].endswith("census identity fails") for f in report.failures)
+
+
+def test_a_certificate_weight_past_the_top_degree_fails_conj13(monkeypatch):
+    # No support monomial has degree n^2, so each certificate's weight is
+    # missing from the support; the support half of the check is untouched.
+    def raised(d):
+        return Monomial((d.n * d.n,) + (0,) * (d.n - 1), (0,) * d.n)
+
+    monkeypatch.setattr(checks, "weight", raised)
+    report = run_check("conj13", 3)
+    assert report.failures
+    for f in report.failures:
+        head, body = f.split(": ", 1)
+        assert head.endswith("(constructive)")
+        assert set(body.split("; ")) == {"certificate weight x1^9 missing from the support"}
 
 
 def test_the_pipe_dream_bound_comes_before_the_sweep(monkeypatch):

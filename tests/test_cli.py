@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -449,12 +451,32 @@ class TestRender:
         assert err.startswith(f"error: {src}: ") and named in err
         assert "Traceback" not in err
 
+    def test_a_grid_of_the_wrong_shape_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps({"kind": "PD", "n": 3, "rows": ["++", "+.", ".."]}))
+        code, out, err = run(capsys, "render", "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {src}: expected 3x3 grid for PD of size 3\n"
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "render", "--in", str(tmp_path / "absent.json"))
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+# The module is imported already, which runpy warns about; it still runs it
+# afresh under ``__main__``.
+@pytest.mark.filterwarnings("ignore:'pipedreams.cli' found in sys.modules:RuntimeWarning")
+def test_running_the_module_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["pipedreams", "poly", "--w", "1,1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("pipedreams.cli", run_name="__main__")
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
 
 
 def test_missing_subcommand_exits_2(capsys):

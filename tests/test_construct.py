@@ -71,6 +71,12 @@ def mvpd(n, text):
     return Diagram.parse_text(Kind.MVPD, n, text)
 
 
+def grid(text):
+    """An n x n MVPD grid of any tiles, neither validated nor traced."""
+    rows = text.split("\n")
+    return Diagram(Kind.MVPD, len(rows), tuple(tuple(map(Tile, r)) for r in rows))
+
+
 def row_weight(w, d):
     return weight(d)
 
@@ -167,6 +173,26 @@ class TestStep:
         with pytest.raises(DiagramError, match="unknown step op 'swap'"):
             Step("swap", (1, 2)).apply(m, W2413)
 
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            # Pipes 1 and 2 really cross at (1,1): a consistent grid, since
+            # the labels of a cross site are traced.
+            ("+J\nJ.", "(1,1): real crossing has no south-east strand"),
+            # An elbow site over a run of one cross, whose east neighbour is
+            # a blank, then a horizontal with a horizontal landing below it.
+            ("r-..\n+...\nJ...\n....", "(2,2): expected a horizontal beside the run"),
+            ("r-..\n+-..\nJ-..\n....", "(3,2): unexpected landing tile"),
+        ],
+        ids=["real-crossing", "beside-the-run", "landing"],
+    )
+    def test_droop_refuses_a_site_that_fails_its_preconditions(self, text, refusal):
+        m = grid(text)
+        w = Perm.from_one_line(range(m.n, 0, -1))
+        with pytest.raises(DiagramError) as exc:
+            Step("droop_prime", (1, 1)).apply(m, w)
+        assert str(exc.value) == refusal
+
     def test_bump_to_cross_leaving_the_set_raises(self):
         # The bump's pipes cross nowhere else, so a cross there changes the code.
         m = mvpd(4, "-b-J\n-J..\n....\n....")
@@ -199,6 +225,28 @@ class TestFindPattern:
         assert find_upgrade(m, tr, w) is None
         assert m.tile(2, 3) is Tile.CROSS and tr.cells[(2, 3)][2] == tr.cells[(2, 3)][0]
         assert find_pattern(m, tr, w) == (2, 3)
+
+
+    def test_a_fake_cross_over_a_bump_yields_to_the_bump(self):
+        # The fake cross at (2,2) has a horizontal on its right, but its foot
+        # fails on the bump at (3,2), which has one too and is taken first.
+        w = Perm.from_one_line([1, 2, 5, 4, 6, 3])
+        m = mvpd(6, ".r-+bJ\nr+-bJ.\n+b-J..\nbJ....\nJ.....\n......")
+        tr = trace(m)
+        assert tr.cells[(2, 2)][2] == tr.cells[(2, 2)][0]
+        with pytest.raises(DiagramError, match=r"\(3,2\): droop needs a west-north elbow"):
+            locate_droop_site(m, 2, 2)
+        assert find_pattern(m, tr, w) == (3, 2)
+
+    def test_no_site_raises(self):
+        # A top diagram holds no bump, elbow or cross beside a horizontal.
+        m = mvpd(4, "-JRJ\n--J.\n....\n....")
+        with pytest.raises(DiagramError) as exc:
+            find_pattern(m, trace(m), W2413)
+        assert str(exc.value) == (
+            "no droop pattern in a saturated non-maximal diagram of (2, 4, 1, 3): "
+            "falsifying witness\n" + m.render_text()
+        )
 
 
 class TestConstructUp:
@@ -374,6 +422,13 @@ class TestConstructUp:
         m = mvpd(5, EX59_TEXT)
         with pytest.raises(DiagramError, match="revisits a diagram"):
             construct_up(m, W14253_INV)
+
+    def test_finish_refuses_a_weight_raised_in_two_rows(self):
+        want = Monomial((1, 0, 0), (0, 0, 0))
+        got = Monomial((2, 1, 0), (0, 0, 0))
+        with pytest.raises(DiagramError) as exc:
+            construct._finish(Perm.identity(3), [], [], want, got)
+        assert str(exc.value) == "constructed weight x1^2*x2 is not the input weight times x1"
 
     def test_certificate_json(self):
         m = mvpd(5, EX59_TEXT)

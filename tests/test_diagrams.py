@@ -19,7 +19,6 @@ from pipedreams.diagrams import (
     grid_shape,
     is_member,
     members,
-    mark_violations,
     trace,
     validate,
     weight,
@@ -177,7 +176,12 @@ def oracle_rejects(d):
     """The verdict of ``validate`` with the neighbour loop as its edge rule."""
     if any(t not in allowed_tiles(d.kind, d.n, i, j) for i, j, t in d.cells()):
         return True
-    return bool(neighbour_edge_problems(d) or mark_violations(d, trace(d)))
+    if neighbour_edge_problems(d):
+        return True
+    # The edges agree, so the tracer must accept the grid, and only the
+    # oracle's mark check is left to object.
+    trace(d)
+    return bool(oracle_validate(d))
 
 
 def species_members(n):
@@ -493,7 +497,8 @@ class TestEnumerateStructures:
         # a misplaced mark is all that validate may find in its fillings.
         fillings = list(unpruned_fill(Kind.MVPD, 4, frozenset({2, 3})))
         for d in fillings:
-            assert validate(d) == mark_violations(d, trace(d))
+            assert validate(d) == oracle_validate(d)
+            assert all(p.endswith("with no lower horizontal") for p in validate(d))
         assert any(validate(d) for d in fillings) and not all(validate(d) for d in fillings)
 
     def test_pd_fillings_match_the_index(self):
@@ -519,13 +524,16 @@ class TestEnumerateStructures:
         assert sum(len(members(Kind.MVPD, w)) for w in ws) == 2**15
 
     @pytest.mark.parametrize("kind", list(Kind))
-    def test_the_trace_plan_keeps_every_cell(self, kind):
+    def test_the_trace_keys_every_cell_in_sweep_order(self, kind):
         # The fill plan skips the cells no pipe reaches; the tracer's labels
         # are still keyed by every cell of the grid, in its sweep order.
         for n in range(1, 7):
             rows, cols = grid_shape(kind, n)
             cells = [(i, j) for i in range(rows, 0, -1) for j in range(1, cols + 1)]
-            assert list(diagrams._trace_plan(kind, n)) == cells
+            # Both are inverse fireworks, so every species has diagrams of them.
+            for w in (Perm.identity(n), Perm(tuple(range(n, 0, -1)))):
+                for d in members(kind, w):
+                    assert list(trace(d).cells) == cells
 
     def test_alphabet_regions(self):
         assert allowed_tiles(Kind.PD, 3, 1, 1) == (Tile.CROSS, Tile.BUMP)

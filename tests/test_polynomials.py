@@ -81,6 +81,17 @@ class TestArithmetic:
         p = Poly(2, {mono(2, x1=1): 1})
         assert not p + p.scale(-1)
 
+    def test_cancelled_products_store_no_zero(self):
+        # (x1 + 1)(x1 - 1): the two x1 terms cancel inside the product.
+        p = Poly(2, {mono(2, x1=1): 1, mono(2): 1}) * Poly(2, {mono(2, x1=1): 1, mono(2): -1})
+        assert p.support() == {mono(2, x1=2), mono(2)}
+        assert p == Poly(2, {mono(2, x1=2): 1, mono(2): -1})
+
+    @pytest.mark.parametrize("op", ["__add__", "__mul__"])
+    def test_variable_count_mismatch(self, op):
+        with pytest.raises(ValueError, match="variable count mismatch: 2 vs 3"):
+            getattr(Poly(2), op)(Poly(3))
+
     @given(polys(), polys(), polys())
     def test_ring_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)
@@ -169,6 +180,10 @@ class TestText:
     def test_coefficients_and_y(self):
         p = Poly(1, {mono(1, x1=1): 2, mono(1, x1=1, y1=1): -1})
         assert p.text() == "2*x1 - x1*y1"
+
+    def test_repr(self):
+        assert repr(G_2413) == "Poly(x1*x2^2 + x1^2*x2 - x1^2*x2^2)"
+        assert repr(Poly(2)) == "Poly(0)"
 
 
 class TestCanonicalOrder:
