@@ -125,7 +125,7 @@ _UPGRADES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     op: str  # "mark" | "bump_to_cross" | "droop_prime"
     cell: tuple[int, int]
@@ -178,7 +178,7 @@ def find_upgrade(d: Diagram, tr: TraceResult, w: Perm) -> tuple[Step, Diagram, T
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """One verified weight-raising rewrite chain."""
 

@@ -86,6 +86,19 @@ def _row_text(row: Iterable[Tile]) -> str:
     return "".join([t.glyph for t in row])
 
 
+# The listings repeat a few rows many times over: the 196,608 rows of the
+# 32,768 pipe dreams of S_6 are 63 distinct ones, and every species for
+# n <= 6, with the BVPDs of S_7, has 953.  Bounded, so over larger n the
+# cache drops the rows least recently built rather than growing without end;
+# a dropped row is built again, equal, at its next use.
+@lru_cache(maxsize=4096)
+def _row(text: str) -> tuple[Tile, ...]:
+    """The one tuple of the row whose glyphs are ``text``: every row that
+    ``members``, ``Diagram.with_tiles`` and ``Diagram.parse_text`` keep is
+    built here, so equal rows are one object across all diagrams and all w."""
+    return _tiles(text)
+
+
 # The tiles that per-cell loops compare against, bound once.  On Python 3.10
 # and 3.11 the enum metaclass has a ``__getattr__`` hook, which makes every
 # ``Tile.X`` lookup several times dearer than reading a global.
@@ -147,9 +160,10 @@ def allowed_tiles(kind: Kind, n: int, i: int, j: int) -> tuple[Tile, ...]:
     return (_BLANK,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
-    """An immutable rectangular tile grid tagged with its species."""
+    """An immutable rectangular tile grid tagged with its species.  Slotted:
+    a listing holds many, and a slotted record has no per-instance dict."""
 
     kind: Kind
     n: int
@@ -188,7 +202,8 @@ class Diagram:
 
     def with_tiles(self, updates: Mapping[tuple[int, int], Tile]) -> Diagram:
         """A copy with the tiles at the given (i, j) cells replaced; only the
-        rows holding an update are rebuilt."""
+        rows holding an update are rebuilt, each through ``_row``, so they are
+        the tuples that listed diagrams with the same rows hold."""
         rows: dict[int, list[Tile]] = {}
         for (i, j), t in updates.items():
             if i not in rows:
@@ -196,7 +211,7 @@ class Diagram:
             rows[i][j - 1] = t
         grid = list(self.tiles)
         for i, row in rows.items():
-            grid[i - 1] = tuple(row)
+            grid[i - 1] = _row(_row_text(row))
         return Diagram(self.kind, self.n, tuple(grid))
 
     def render_text(self) -> str:
@@ -208,7 +223,7 @@ class Diagram:
         grid: list[tuple[Tile, ...]] = []
         for line in rows:
             try:
-                grid.append(_tiles(line))
+                grid.append(_row(line))
             except KeyError as exc:
                 raise DiagramError(f"unknown tile character {exc.args[0]!r}") from None
         try:
@@ -383,7 +398,8 @@ def _checked_trace(d: Diagram) -> tuple[list[str], TraceResult | None]:
 
 def sort_key(d: Diagram) -> str:
     """Canonical ordering key for sets of diagrams: the rendered text, which
-    ``members`` joins from row texts it reads once per shared row."""
+    ``members`` joins from the texts it reads once per finished row, the
+    keys under which ``_row`` shares that row."""
     return d.render_text()
 
 
@@ -494,9 +510,10 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     pipe owns a horizontal, all of which lie lower (``markable``'s rule);
     each horizontal is counted on its pipe where it is placed, and each
     cell's ``marks`` says where a mark may go.  Each finished row is frozen
-    into one tuple as the sweep moves above it, and the diagrams listed
-    below that point share it; its text, of which the ``sort_key`` of each
-    is made, is read once.
+    as the sweep moves above it; at the next listing its text, of which the
+    ``sort_key`` of each diagram is made, is read once and the row is swapped
+    for ``_row``'s tuple of that text, which every diagram with that row
+    holds, of any species and any w.
 
     The plan, ``_fill_plan(kind, n)``, is the cells alone: it holds nothing
     of w and skips the cells past the anti-diagonal that no pipe reaches.
@@ -521,9 +538,10 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     owned = [0] * (w.n + 1)  # owned[r]: horizontals placed on pipe r
     crossed: set[frozenset[int]] = set()
     # Each listed diagram under its ``sort_key``, joined from the texts of
-    # its rows.  A row's text is read once, here rather than in ``fill``
-    # (whose frame stays small): a row refrozen since the last listing is a
-    # new tuple, and the rows below a row that was not refrozen were not.
+    # its rows.  A row's text is read, and the row swapped for ``_row``'s
+    # tuple, once, here rather than in ``fill`` (whose frame stays small): a
+    # row refrozen since the last listing is a new tuple, and the rows below
+    # a row that was not refrozen were not.
     found: dict[str, Diagram] = {}
     read: list[tuple[Tile, ...]] = [()] * rows  # read[r]: the row whose text is texts[r]
     texts = [""] * rows
@@ -533,8 +551,8 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
         for r, row in enumerate(done):
             if row is read[r]:
                 break
-            read[r] = row
             texts[r] = _row_text(row)
+            done[r] = read[r] = _row(texts[r])
         found["\n".join(texts)] = Diagram(kind, w.n, tuple(done))
         if len(found) > MAX_LISTED:
             raise ValueError(f"{w.letters}: more than {MAX_LISTED} {kind.value} diagrams")

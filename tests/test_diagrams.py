@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import sys
 
 import pytest
@@ -182,6 +183,31 @@ def oracle_rejects(d):
     # oracle's mark check is left to object.
     trace(d)
     return bool(oracle_validate(d))
+
+
+# ``listing_digests()``, pinned.
+LISTING_DIGESTS = (
+    "1ecacd1f296d61e70fec509c397c4417800862043c003b166c2cf2a2e7a132fa",
+    "c521d95ed1fc313034ed8b037b29939c64df518c7b51fd1f496c1a773ba3e35d",
+)
+
+
+def listing_digests():
+    """SHA-256 of every fresh listing of S_1..S_5, each diagram's text in
+    canonical order, per species and w: of the unmarked diagrams, and of all."""
+    unmarked, full = hashlib.sha256(), hashlib.sha256()
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            kinds = [Kind.PD, Kind.MVPD] + [Kind.BVPD] * w.is_inverse_fireworks()
+            for kind in kinds:
+                for d in members(kind, w):
+                    text = d.render_text().encode() + b"|"
+                    full.update(text)
+                    if not any(Tile.MARKED_SE in row for row in d.tiles):
+                        unmarked.update(text)
+                unmarked.update(b"#")
+                full.update(b"#")
+    return unmarked.hexdigest(), full.hexdigest()
 
 
 def species_members(n):
@@ -393,16 +419,18 @@ class TestTrace:
         assert set(tr.lowest_horizontal) <= set(d.entering_rows)
 
     def test_tracing_stores_nothing_on_the_diagram(self):
-        # Fresh copies: the cached members may have been traced already.
+        # A slotted frozen diagram has no instance dict, so its three fields
+        # are all it can hold: each stays the same object through a trace
+        # and a membership test.
         one = Perm.identity(1)
         for w, ds in [*species_members(3), (one, members(Kind.BVPD, one))]:
             for d in ds:
-                d = Diagram(d.kind, d.n, d.tiles)
-                before = dict(vars(d))
+                assert not hasattr(d, "__dict__")
+                fields = (d.kind, d.n, d.tiles)
                 trace(d)
-                assert vars(d) == before
+                assert all(map(operator.is_, (d.kind, d.n, d.tiles), fields))
                 assert is_member(d, w)
-                assert vars(d) == before
+                assert all(map(operator.is_, (d.kind, d.n, d.tiles), fields))
 
     def test_real_crossing_pairs_unique(self):
         for w in symmetric_group(4):
@@ -629,41 +657,37 @@ class TestPrunedFill:
         # Pins every diagram and its place in the canonical order for all w
         # of S_1..S_5, independent of the string hash seed: the unmarked
         # ones alone, and all of them.
-        unmarked, full = hashlib.sha256(), hashlib.sha256()
-        for n in range(1, 6):
-            for w in symmetric_group(n):
-                kinds = [Kind.PD, Kind.MVPD] + [Kind.BVPD] * w.is_inverse_fireworks()
-                for kind in kinds:
-                    for d in members(kind, w):
-                        text = d.render_text().encode() + b"|"
-                        full.update(text)
-                        if not any(Tile.MARKED_SE in row for row in d.tiles):
-                            unmarked.update(text)
-                    unmarked.update(b"#")
-                    full.update(b"#")
-        assert unmarked.hexdigest() == (
-            "1ecacd1f296d61e70fec509c397c4417800862043c003b166c2cf2a2e7a132fa"
-        )
-        assert full.hexdigest() == (
-            "c521d95ed1fc313034ed8b037b29939c64df518c7b51fd1f496c1a773ba3e35d"
-        )
+        assert listing_digests() == LISTING_DIGESTS
 
     def test_fillings_share_their_finished_rows(self):
-        # Two fillings that agree on a row and on every row below it parted
-        # only above it, after the fill froze it: they hold one tuple.
-        shared = 0
+        # Every row a listing holds comes from ``_row``: equal rows are one
+        # tuple across all species and all w, and ``with_tiles`` rewriting
+        # one listed diagram into the next holds that diagram's very rows.
+        listed = [
+            members(kind, w)
+            for n in range(1, 6)
+            for w in symmetric_group(n)
+            for kind in Kind
+            if kind is not Kind.BVPD or w.is_inverse_fireworks()
+        ]
+        rows = [row for ds in listed for d in ds for row in d.tiles]
+        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+        for ds in listed:
+            for a, b in zip(ds, ds[1:]):
+                c = a.with_tiles({(i, j): t for i, j, t in b.cells() if a.tile(i, j) is not t})
+                assert c == b and all(map(operator.is_, c.tiles, b.tiles)), (a, b)
+
+    def test_listings_do_not_depend_on_row_cache_hits(self, monkeypatch):
+        # A one-row cache misses or evicts at nearly every lookup.
+        monkeypatch.setattr(diagrams, "_row", lru_cache(maxsize=1)(diagrams._tiles))
         for kind in Kind:
-            for w in symmetric_group(4):
-                if kind is Kind.BVPD and not w.is_inverse_fireworks():
-                    continue
-                first: dict[tuple, tuple] = {}
-                for d in members(kind, w):
-                    for k in range(1, d.rows):
-                        below = d.tiles[k:]
-                        seen = first.setdefault(below, below)
-                        assert all(a is b for a, b in zip(seen, below)), (w, d)
-                        shared += seen is not below
-        assert shared
+            for n in range(1, 5):
+                ws = [
+                    w for w in symmetric_group(n) if kind is not Kind.BVPD or w.is_inverse_fireworks()
+                ]
+                for w, want in oracle_members(kind, ws).items():
+                    assert members(kind, w) == want, w
+        assert listing_digests() == LISTING_DIGESTS
 
     def test_one_plan_per_kind_and_size(self):
         # The w of S_4 taken from both ends in turn, each filled twice: a
