@@ -614,6 +614,16 @@ def weight(d: Diagram) -> Monomial:
     return Monomial(tuple([sum(map(weighty, row)) for row in d.tiles]), (0,) * d.n)
 
 
+# The double sums of one size share their monomials: the 306,792 terms of
+# both double polynomials of every w of S_5 are 14,400 distinct monomials.
+# ``_monomials`` holds one table, for one size n at a time, that maps a packed
+# exponent int (see ``signed_weight_sum``) to its Monomial.  Bounded, so a
+# sweep over larger n empties it rather than growing it without end; an
+# emptied monomial is built again, equal, at its next use.
+MAX_MONOMIALS = 32_768
+_monomials: dict[int, dict[int, Monomial]] = {}
+
+
 def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -> Poly:
     """Sum of (-1)^(k - inversions(w)) times the weight of each diagram, where
     k counts its weighty tiles.  The double weight is the product of
@@ -622,7 +632,13 @@ def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -
     This is the one place a weight is expanded.  A single weight is one
     monomial per diagram.  Double weights are expanded by Horner's rule
     across diagrams, so a prefix of weighty cells that diagrams share is
-    expanded once.  Raises ``ValueError`` for a diagram of another size."""
+    expanded once, and their monomials are taken from one table of the
+    monomials of size n that earlier double sums built, so equal monomials
+    are one object across sums and across routes.  The table is emptied
+    before it would pass ``MAX_MONOMIALS`` entries.  A sum with more distinct
+    monomials than that fills it past the bound; the next sum shares them if
+    it needs no others, and then empties it.  Raises ``ValueError`` for a
+    diagram of another size."""
     n = w.n
     ell = w.inversions()
     # Signs summed per key: the weight of a single sum, or the column-major
@@ -669,12 +685,38 @@ def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -
                         into[e + xyb] = get(e + xyb, 0) - c
     acc = by_last.get(None, {}).get((), {})
 
-    field = (1 << width) - 1
-    half = width * n
-    xmask = (1 << half) - 1
-    halves = {e & xmask for e in acc} | {e >> half for e in acc}
-    exps = {h: tuple(h >> width * k & field for k in range(n)) for h in halves}
-    # ``Poly`` drops the zero terms.  ``tuple.__new__`` builds each key
-    # without the Python-level ``__new__`` of the NamedTuple.
-    new = tuple.__new__
-    return Poly(n, {new(Monomial, (exps[e & xmask], exps[e >> half])): c for e, c in acc.items()})
+    # Only the keys the table lacks are decoded; ``set(acc).difference``
+    # costs the size of ``acc``, where ``acc.keys() - table.keys()`` would
+    # walk the whole table.
+    table = _monomials.get(n)
+    if table is None:
+        _monomials.clear()
+        table = _monomials[n] = {}
+    fresh = set(acc).difference(table)
+    if fresh and len(table) + len(fresh) > MAX_MONOMIALS:
+        table.clear()
+        fresh.update(acc)
+    served = not fresh
+    if fresh:
+        field = (1 << width) - 1
+        half = width * n
+        xmask = (1 << half) - 1
+        halves = {e & xmask for e in fresh} | {e >> half for e in fresh}
+        exps = {h: tuple(h >> width * k & field for k in range(n)) for h in halves}
+        # ``tuple.__new__`` builds each key without the Python-level
+        # ``__new__`` of the NamedTuple.
+        new = tuple.__new__
+        # Stored one by one: ``update`` from a comprehension would build a
+        # second dict as large as ``fresh``.
+        for e in fresh:
+            table[e] = new(Monomial, (exps[e & xmask], exps[e >> half]))
+    del fresh  # frees a set as large as ``acc`` before the terms are built
+    # ``Poly`` drops the zero terms.
+    p = Poly(n, dict(zip(map(table.__getitem__, acc), acc.values())))
+    # A table past the bound holds one sum's monomials.  It is kept for the
+    # next sum, the other route of the same w, and emptied once that sum has
+    # found all its monomials in it, so it is not held through the expansion
+    # of the next w.
+    if served and len(table) > MAX_MONOMIALS:
+        table.clear()
+    return p

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pipedreams import diagrams
 from pipedreams.diagrams import Diagram, Kind, Tile, signed_weight_sum, weight
-from pipedreams.mvpd import mvpd_set
+from pipedreams.mvpd import double_grothendieck_via_mvpd, mvpd_set
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import double_grothendieck, pd_from_crosses, pd_set
 from pipedreams.polynomials import Monomial, Poly
@@ -262,6 +263,71 @@ class TestSignedWeightSum:
         d = pd_from_crosses(3, frozenset({(1, 2)}))
         with pytest.raises(ValueError, match="size 3"):
             signed_weight_sum(Perm.identity(2), [d], double=double)
+
+
+class TestMonomialTable:
+    """The double sums take their monomials from one bounded table of the
+    monomials of one size; each test starts from an empty one."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(diagrams, "_monomials", {})
+
+    def test_equal_monomials_are_one_object(self):
+        polys = []
+        for w in symmetric_group(5):
+            p, q = double_grothendieck(w), double_grothendieck_via_mvpd(w)
+            assert p == q, w
+            q_keys = {m: m for m, _ in q.items()}
+            assert all(q_keys[m] is m for m, _ in p.items()), w
+            polys += (p, q)
+        assert len(polys) == 240
+        monomials = [m for p in polys for m, _ in p.items()]
+        assert len({id(m) for m in monomials}) == len(set(monomials)) == 14_400
+
+    @pytest.mark.parametrize("bound", [0, 1, None], ids=["0", "1", "MAX_MONOMIALS"])
+    def test_sums_do_not_depend_on_the_table(self, monkeypatch, bound):
+        # Sizes 3 and 4 pack their exponents 2 and 3 bits wide, so a table
+        # left by the other size would decode to wrong monomials.
+        if bound is not None:
+            monkeypatch.setattr(diagrams, "MAX_MONOMIALS", bound)
+        for n in (1, 2, 3, 4, 3):
+            for w in symmetric_group(n):
+                for fill in (pd_set, mvpd_set):
+                    ds = fill(w)
+                    p = signed_weight_sum(w, ds, double=True)
+                    assert p == expand_each(w, ds, double=True)
+                    held = len(diagrams._monomials[n])
+                    assert held <= max(diagrams.MAX_MONOMIALS, len(p.support()))
+
+    def test_an_emptied_table_is_refilled_from_the_whole_sum(self, monkeypatch):
+        # 213's three monomials fill a table bounded at 3; 132 shares them
+        # and has 12 more, so its sum empties the table and decodes all 15.
+        monkeypatch.setattr(diagrams, "MAX_MONOMIALS", 3)
+        double_grothendieck(Perm.from_one_line([2, 1, 3]))
+        assert len(diagrams._monomials[3]) == 3
+        w = Perm.from_one_line([1, 3, 2])
+        assert double_grothendieck(w) == expand_each(w, pd_set(w), double=True)
+        assert len(diagrams._monomials[3]) == 15
+
+    def test_a_table_past_the_bound_serves_one_more_sum(self, monkeypatch):
+        # 4231 has 128 distinct double monomials: its first route fills the
+        # table past a bound of 5, its second finds them all there and then
+        # empties it.
+        monkeypatch.setattr(diagrams, "MAX_MONOMIALS", 5)
+        w = Perm.from_one_line([4, 2, 3, 1])
+        p = double_grothendieck(w)
+        assert len(diagrams._monomials[4]) == len(p.support()) > 5
+        q = double_grothendieck_via_mvpd(w)
+        assert not diagrams._monomials[4]
+        q_keys = {m: m for m, _ in q.items()}
+        assert p == q and all(q_keys[m] is m for m, _ in p.items())
+
+    def test_a_sweep_stays_within_the_bound(self):
+        for w in symmetric_group(5):
+            double_grothendieck(w)
+            double_grothendieck_via_mvpd(w)
+        assert 0 < len(diagrams._monomials[5]) <= diagrams.MAX_MONOMIALS
 
 
 class TestJson:
