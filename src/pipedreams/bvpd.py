@@ -7,13 +7,12 @@ maximal-weight subset cut out by a tile census.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
-from .diagrams import Diagram, Kind, Tile, members, require_kind, require_member, weight
+from .diagrams import Diagram, Kind, Tile, members, require_kind, require_member, weight_counts
 from .mvpd import _mvpd_to_pd, is_top, pd_to_mvpd
 from .permutations import Perm
-from .polynomials import Poly
+from .polynomials import Monomial, Poly
 
 
 def east_exit_cells(d: Diagram) -> frozenset[tuple[int, int]]:
@@ -29,8 +28,10 @@ def enumerate_bvpd(w: Perm) -> tuple[Diagram, ...]:
 
 
 def top_grothendieck_via_bvpd(w: Perm) -> Poly:
-    """Unsigned sum of the diagram weights: the top-degree component."""
-    return Poly(w.n, Counter(weight(d) for d in enumerate_bvpd(w)))
+    """Unsigned sum of the diagram weights: the top-degree component, read
+    off the BVPD weight fold, with no diagram listed."""
+    y = (0,) * w.n
+    return Poly(w.n, {Monomial(x, y): c for x, c in weight_counts(Kind.BVPD, w).items()})
 
 
 def mvpd_to_bvpd(d: Diagram, w: Perm) -> Diagram:

@@ -16,9 +16,13 @@ whose edges disagree, and ``validate`` reports that.
 
 A diagram of w in a species is a grid in the species' tile alphabet whose
 edges agree and whose traced code is ``code_of(kind, w)``.  ``is_member``
-tests that, and ``members`` backtracks every such grid, marks included,
-routing the labels by the tracer's rule as it fills, placing each mark where
-``markable`` allows it, and pruning by the code.
+tests that.  One fill, ``_fill``, backtracks every such grid, marks
+included, routing the labels by the tracer's rule as it fills, placing each
+mark where ``markable`` allows it and pruning by the code, and hands each
+complete filling to a leaf.  Its folds differ only in that leaf: ``members``
+lists the fillings as diagrams in canonical order, and ``weight_counts``
+counts them by weight with no diagram built.  So both read exactly the same
+fillings, under the same ``MAX_LISTED`` budget.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from operator import contains
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .permutations import Perm
 from .polynomials import Monomial, Poly
@@ -488,9 +492,12 @@ def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple, bool], ...]:
     return tuple(plan)
 
 
-def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
-    """The diagrams of w in the species, marks included, in canonical order:
-    exactly the grids that ``is_member`` accepts.
+def _fill(kind: Kind, w: Perm, leaf: Callable[[list[tuple[Tile, ...]]], None]) -> None:
+    """Backtrack every diagram of w in the species, marks included, exactly
+    the grids that ``is_member`` accepts, and call ``leaf`` at each complete
+    filling with its rows, top to bottom, as tuples.  The list is the fill's
+    own and holds the filling during the call only; a leaf may swap a row
+    for an equal tuple, which the fill keeps until it refreezes that row.
 
     Cells are filled in ``trace``'s order (bottom to top, left to right), so
     each cell's west and south labels are known when its tile is picked, and
@@ -510,16 +517,14 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     pipe owns a horizontal, all of which lie lower (``markable``'s rule);
     each horizontal is counted on its pipe where it is placed, and each
     cell's ``marks`` says where a mark may go.  Each finished row is frozen
-    as the sweep moves above it; at the next listing its text, of which the
-    ``sort_key`` of each diagram is made, is read once and the row is swapped
-    for ``_row``'s tuple of that text, which every diagram with that row
-    holds, of any species and any w.
+    into a tuple as the sweep moves above it, and row 1 at each leaf.
 
     The plan, ``_fill_plan(kind, n)``, is the cells alone: it holds nothing
     of w and skips the cells past the anti-diagonal that no pipe reaches.
     Which pipes enter, where they must leave, which pairs have crossed and
     which pipes own a horizontal are this call's own state.  Raises
-    ``ValueError`` above ``MAX_FILL_N`` and past ``MAX_LISTED`` diagrams."""
+    ``ValueError`` above ``MAX_FILL_N`` and before the leaf of filling
+    ``MAX_LISTED`` + 1, so every fold refuses where the listing does."""
     code = code_of(kind, w)
     if w.n > MAX_FILL_N:
         raise ValueError(f"n={w.n} above the fill's depth bound {MAX_FILL_N}")
@@ -537,32 +542,23 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
     south = [0] * (cols + 1)  # label heading north out of the row below, per column
     owned = [0] * (w.n + 1)  # owned[r]: horizontals placed on pipe r
     crossed: set[frozenset[int]] = set()
-    # Each listed diagram under its ``sort_key``, joined from the texts of
-    # its rows.  A row's text is read, and the row swapped for ``_row``'s
-    # tuple, once, here rather than in ``fill`` (whose frame stays small): a
-    # row refrozen since the last listing is a new tuple, and the rows below
-    # a row that was not refrozen were not.
-    found: dict[str, Diagram] = {}
-    read: list[tuple[Tile, ...]] = [()] * rows  # read[r]: the row whose text is texts[r]
-    texts = [""] * rows
+    listed = 0
 
-    def emit() -> None:
-        done[0] = tuple(grid[0])
-        for r, row in enumerate(done):
-            if row is read[r]:
-                break
-            texts[r] = _row_text(row)
-            done[r] = read[r] = _row(texts[r])
-        found["\n".join(texts)] = Diagram(kind, w.n, tuple(done))
-        if len(found) > MAX_LISTED:
+    def finish() -> None:
+        nonlocal listed
+        listed += 1
+        if listed > MAX_LISTED:
             raise ValueError(f"{w.letters}: more than {MAX_LISTED} {kind.value} diagrams")
+        done[0] = tuple(grid[0])
+        leaf(done)
 
     # ``fill`` recurses once per cell, so it keeps few locals and free
-    # variables: on CPython 3.11 a deep recursion whose frames cross a
-    # data-stack chunk maps and frees that chunk at each crossing.
+    # variables, and leaves the work at a leaf to ``finish``: on CPython
+    # 3.11 a deep recursion whose frames cross a data-stack chunk maps and
+    # frees that chunk at each crossing.
     def fill(k: int, west: int) -> None:
         if k == last:
-            return emit()
+            return finish()
         i, j, opts, marks = plan[k]
         if j == 1:
             west = i if i in entering else 0
@@ -593,7 +589,48 @@ def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
         south[j] = s_in
 
     fill(0, 0)
+
+
+def members(kind: Kind, w: Perm) -> tuple[Diagram, ...]:
+    """The diagrams of w in the species, marks included, in canonical order:
+    the list fold of ``_fill``.  At each leaf, every row refrozen since the
+    last has its text read once, and is swapped for ``_row``'s tuple of that
+    text, which every diagram with that row holds, of any species and any w;
+    the texts join into the diagram's ``sort_key``.  Raises as ``_fill``
+    does: above ``MAX_FILL_N`` and past ``MAX_LISTED`` diagrams."""
+    rows = grid_shape(kind, w.n)[0]
+    # A row refrozen since the last leaf is a new tuple, and the rows below
+    # a row that was not refrozen were not.
+    found: dict[str, Diagram] = {}  # each diagram under its ``sort_key``
+    read: list[tuple[Tile, ...]] = [()] * rows  # read[r]: the row whose text is texts[r]
+    texts = [""] * rows
+
+    def emit(done: list[tuple[Tile, ...]]) -> None:
+        for r, row in enumerate(done):
+            if row is read[r]:
+                break
+            texts[r] = _row_text(row)
+            done[r] = read[r] = _row(texts[r])
+        found["\n".join(texts)] = Diagram(kind, w.n, tuple(done))
+
+    _fill(kind, w, emit)
     return tuple(map(found.__getitem__, sorted(found)))
+
+
+def weight_counts(kind: Kind, w: Perm) -> dict[tuple[int, ...], int]:
+    """The weight fold of ``_fill``: each weight of w's diagrams in the
+    species, as its row counts of weighty tiles (``weight(d).x``), with the
+    number of diagrams of that weight.  It sums over exactly the fillings
+    that ``members`` lists, reading each finished grid, and builds no
+    ``Diagram``.  Raises as ``members`` does."""
+    counts: dict[tuple[int, ...], int] = {}
+
+    def tally(done: list[tuple[Tile, ...]]) -> None:
+        x = _weighty_per_row(kind, done)
+        counts[x] = counts.get(x, 0) + 1
+
+    _fill(kind, w, tally)
+    return counts
 
 
 def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
@@ -607,11 +644,17 @@ def weighty_cells(d: Diagram) -> frozenset[tuple[int, int]]:
     )
 
 
+def _weighty_per_row(kind: Kind, rows: Iterable[tuple[Tile, ...]]) -> tuple[int, ...]:
+    """The count of the species' weight-bearing tiles in each row: the x
+    exponents of a weight, read by ``weight`` and ``weight_counts`` alike."""
+    weighty = kind.weighty.__contains__
+    return tuple([sum(map(weighty, row)) for row in rows])
+
+
 def weight(d: Diagram) -> Monomial:
     """Row-product monomial of the weight-bearing tiles, counted row by row;
     its ``degree`` is the diagram's weighty-tile count."""
-    weighty = d.kind.weighty.__contains__
-    return Monomial(tuple([sum(map(weighty, row)) for row in d.tiles]), (0,) * d.n)
+    return Monomial(_weighty_per_row(d.kind, d.tiles), (0,) * d.n)
 
 
 # The double sums of one size share their monomials: the 306,792 terms of

@@ -6,15 +6,16 @@ one-line notation ``(w(1), ..., w(n))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import permutations as _one_line_tuples
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Perm:
-    """A permutation of {1..n} in one-line notation.
+    """A permutation of {1..n} in one-line notation.  Slotted, with its
+    inverse computed once, at the first read, into a slot that equality,
+    hashing and ``repr`` ignore.
 
     >>> w = Perm.from_one_line([2, 4, 1, 3])
     >>> w.inverse.letters
@@ -24,6 +25,7 @@ class Perm:
     """
 
     letters: tuple[int, ...]
+    _inverse: Perm | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.letters)
@@ -51,12 +53,16 @@ class Perm:
         sep = "" if self.n <= 9 else ","
         return sep.join(str(v) for v in self.letters)
 
-    @cached_property
+    @property
     def inverse(self) -> Perm:
-        inv = [0] * self.n
-        for i, v in enumerate(self.letters, start=1):
-            inv[v - 1] = i
-        return Perm(tuple(inv))
+        p = self._inverse
+        if p is None:
+            inv = [0] * self.n
+            for i, v in enumerate(self.letters, start=1):
+                inv[v - 1] = i
+            p = Perm(tuple(inv))
+            object.__setattr__(self, "_inverse", p)
+        return p
 
     def inversions(self) -> int:
         """Number of pairs i < j with w(i) > w(j)."""

@@ -3,9 +3,9 @@
 The pipe dreams of w are ``members(Kind.PD, w)``, the fillings of the
 staircase by crosses and bumps whose top reading is w's inverse; every
 per-permutation query reads them through ``pd_set``.  The diagram lists
-that several readers share (``pd_set``, ``mvpd_set``, ``enumerate_bvpd``)
-and the small values read off them are cached; no polynomial is, as each
-is one fold over one list that no sweep or command reads twice.  The
+that several readers share (``pd_set``, ``mvpd_set``) and the small values
+read off them are cached; no polynomial is, as each is one fold, over a
+list or over the fill itself, that no sweep or command reads twice.  The
 monomials of the double sums are shared, though: ``signed_weight_sum`` keeps
 one table of them, for one size at a time, so equal terms of both routes
 and of every w are one object.

@@ -1,6 +1,6 @@
 import pytest
 
-from pipedreams import diagrams
+from pipedreams import bvpd, diagrams
 from pipedreams.bvpd import (
     bvpd_to_mvpd,
     bvpd_to_pd,
@@ -92,6 +92,21 @@ class TestTopFormula:
     def test_2413_matches_signed_top_component(self):
         sign = -1 if (max_cross_count(W2413) - W2413.inversions()) % 2 else 1
         assert top_grothendieck_via_bvpd(W2413) == grothendieck(W2413).top_component().scale(sign)
+
+    def test_lists_no_diagram(self, monkeypatch):
+        # The formula reads the weight fold: it builds no ``Diagram`` and
+        # lists nothing, through ``members`` or ``enumerate_bvpd``.
+        ws = inverse_fireworks(5)
+        want = [top_grothendieck_via_bvpd(w) for w in ws]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top formula listed diagrams")
+
+        monkeypatch.setattr(Diagram, "__post_init__", refuse)
+        monkeypatch.setattr(diagrams, "members", refuse)
+        monkeypatch.setattr(bvpd, "members", refuse)
+        monkeypatch.setattr(bvpd, "enumerate_bvpd", refuse)
+        assert [top_grothendieck_via_bvpd(w) for w in ws] == want
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sweep(self, n):

@@ -370,6 +370,21 @@ class TestListingBudget:
         assert code == 0
         assert len(out.strip().split("\n\n")) == size
 
+    def test_top_counts_its_fillings_against_the_budget(self, capsys, monkeypatch):
+        # ``top`` lists no BVPD but counts the fillings it sums: 2413 has one.
+        size = len(members(Kind.BVPD, Perm.from_one_line([2, 4, 1, 3])))
+        assert size == 1
+        monkeypatch.setattr(diagrams, "MAX_LISTED", size - 1)
+        code, out, err = run(capsys, "top", "--w", "2,4,1,3")
+        assert code == 2
+        assert err.startswith("error:") and f"more than {size - 1} BVPD" in err
+        assert "Traceback" not in err
+        assert out == ""
+        monkeypatch.setattr(diagrams, "MAX_LISTED", size)
+        code, out, _ = run(capsys, "top", "--w", "2,4,1,3")
+        assert code == 0
+        assert out.strip() == "x1^2*x2^2"
+
 
 class TestRender:
     def test_json_to_text(self, capsys, tmp_path):

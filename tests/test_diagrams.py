@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from pipedreams.diagrams import (
     trace,
     validate,
     weight,
+    weight_counts,
     weighty_cells,
 )
 from pipedreams.mvpd import mvpd_set
@@ -605,6 +607,39 @@ class TestWeight:
             rows = tuple(sum(1 for i, _ in cells if i == r) for r in range(1, d.n + 1))
             assert weight(d) == (rows, (0,) * d.n), d
         assert {d.kind for d in checked} == set(Kind)
+
+
+class TestWeightFold:
+    """``weight_counts`` sums over exactly the fillings ``members`` lists."""
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_fold_sums_what_the_list_holds(self, kind, n):
+        for w in symmetric_group(n):
+            if kind is Kind.BVPD and not w.is_inverse_fireworks():
+                continue
+            ds = members(kind, w)
+            counts = weight_counts(kind, w)
+            assert counts == Counter(weight(d).x for d in ds), w
+            assert sum(counts.values()) == len(ds), w
+
+    def test_the_bvpd_fold_over_s7(self):
+        ws = [w for w in symmetric_group(7) if w.is_inverse_fireworks()]
+        assert len(ws) == 877
+        for w in ws:
+            assert weight_counts(Kind.BVPD, w) == Counter(weight(d).x for d in members(Kind.BVPD, w)), w
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_the_fold_refuses_where_the_list_does(self, monkeypatch, kind):
+        # 2413 has three PDs, three MVPDs and one BVPD.
+        w = Perm.from_one_line([2, 4, 1, 3])
+        size = len(members(kind, w))
+        monkeypatch.setattr(diagrams, "MAX_LISTED", size - 1)
+        for fold in (members, weight_counts):
+            with pytest.raises(ValueError, match=rf"^\(2, 4, 1, 3\): more than {size - 1} {kind.value} diagrams$"):
+                fold(kind, w)
+        monkeypatch.setattr(diagrams, "MAX_LISTED", size)
+        assert sum(weight_counts(kind, w).values()) == size
 
 
 class TestPrunedFill:

@@ -52,6 +52,15 @@ class TestInverse:
     def test_2413(self):
         assert perm(2, 4, 1, 3).inverse == perm(3, 1, 4, 2)
 
+    def test_computed_once_into_a_slot(self):
+        w = perm(2, 4, 1, 3)
+        assert not hasattr(w, "__dict__")
+        assert w.inverse is w.inverse
+        # The slot is outside equality, hashing and the repr.
+        fresh = perm(2, 4, 1, 3)
+        assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
+        assert {fresh: 1}[w] == 1 and {w: 1}[fresh] == 1
+
     @given(st.permutations(list(range(1, 7))))
     def test_involution(self, letters):
         w = Perm.from_one_line(letters)
