@@ -7,8 +7,6 @@ maximal-weight subset cut out by a tile census.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .diagrams import Diagram, Kind, Tile, members, require_kind, require_member, weight_counts
 from .mvpd import _mvpd_to_pd, is_top, pd_to_mvpd
 from .permutations import Perm
@@ -21,7 +19,6 @@ def east_exit_cells(d: Diagram) -> frozenset[tuple[int, int]]:
     return frozenset((i, j) for i, j, t in d.cells() if t.has("E"))
 
 
-@lru_cache(maxsize=None)
 def enumerate_bvpd(w: Perm) -> tuple[Diagram, ...]:
     """All bumpless fillings whose traced code is w's reduced column code."""
     return members(Kind.BVPD, w)

@@ -27,6 +27,7 @@ fillings, under the same ``MAX_LISTED`` budget.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -660,32 +661,23 @@ def weight(d: Diagram) -> Monomial:
 # The double sums of one size share their monomials: the 306,792 terms of
 # both double polynomials of every w of S_5 are 14,400 distinct monomials.
 # ``_monomials`` holds one table, for one size n at a time, that maps a packed
-# exponent int (see ``signed_weight_sum``) to its Monomial.  Bounded, so a
+# exponent int (see ``_expand_double``) to its Monomial.  Bounded, so a
 # sweep over larger n empties it rather than growing it without end; an
-# emptied monomial is built again, equal, at its next use.
+# emptied monomial is built again, equal, at its next use.  ``_last_double``
+# is the last double sum's size, grouping and a weak reference to its
+# polynomial: both routes of one w group alike, so they share one polynomial.
 MAX_MONOMIALS = 32_768
 _monomials: dict[int, dict[int, Monomial]] = {}
+_last_double: tuple[int, dict[tuple, int], weakref.ref[Poly]] | None = None
 
 
-def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -> Poly:
-    """Sum of (-1)^(k - inversions(w)) times the weight of each diagram, where
-    k counts its weighty tiles.  The double weight is the product of
-    x_i + y_j - x_i*y_j over the weighty cells (i, j).
-
-    This is the one place a weight is expanded.  A single weight is one
-    monomial per diagram.  Double weights are expanded by Horner's rule
-    across diagrams, so a prefix of weighty cells that diagrams share is
-    expanded once, and their monomials are taken from one table of the
-    monomials of size n that earlier double sums built, so equal monomials
-    are one object across sums and across routes.  The table is emptied
-    before it would pass ``MAX_MONOMIALS`` entries.  A sum with more distinct
-    monomials than that fills it past the bound; the next sum shares them if
-    it needs no others, and then empties it.  Raises ``ValueError`` for a
-    diagram of another size."""
+def signed_groups(w: Perm, ds: Iterable[Diagram], *, double: bool) -> dict[tuple, int]:
+    """The one grouping of a signed weight sum: each diagram's sign, as in
+    ``signed_weight_sum``, summed per key, the weight of a single sum or the
+    column-major weighty cells of a double one.  Equal groupings give equal
+    sums.  Raises ``ValueError`` at the first diagram of another size."""
     n = w.n
     ell = w.inversions()
-    # Signs summed per key: the weight of a single sum, or the column-major
-    # weighty cells of a double one.
     groups: dict[tuple, int] = {}
     for d in ds:
         if d.n != n:
@@ -697,9 +689,35 @@ def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -
             key = weight(d)
             k = key.degree
         groups[key] = groups.get(key, 0) + (-1 if (k - ell) % 2 else 1)
-    if not double:
-        return Poly(n, groups)
+    return groups
 
+
+def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -> Poly:
+    """Sum of (-1)^(k - inversions(w)) times the weight of each diagram, where
+    k counts its weighty tiles.  The double weight is the product of
+    x_i + y_j - x_i*y_j over the weighty cells (i, j).
+
+    This is the one place a weight is expanded: a single weight is one
+    monomial per group of ``signed_groups``.  A double grouping equal to the
+    last one's, of the same size, returns the last polynomial while a caller
+    still holds it, and any other goes to ``_expand_double``.  Raises
+    ``ValueError`` for a diagram of another size."""
+    global _last_double
+    groups = signed_groups(w, ds, double=double)
+    if not double:
+        return Poly(w.n, groups)
+    p = _last_double and _last_double[2]()
+    if p is None or _last_double[:2] != (w.n, groups):
+        p = _expand_double(w.n, groups)
+        _last_double = (w.n, groups, weakref.ref(p))
+    return p
+
+
+def _expand_double(n: int, groups: Mapping[tuple, int]) -> Poly:
+    """The double sum of a grouping, by Horner's rule across its groups, so a
+    prefix of weighty cells that groups share is expanded once.  Its
+    monomials come from the table, which is emptied before it would pass
+    ``MAX_MONOMIALS`` entries, and at the end of a sum that passes it alone."""
     # A term is one int with a field of `width` bits per variable, x_1..x_n
     # then y_1..y_n.  An exponent counts the weighty cells of one row or one
     # column, so it is at most n < 2**width and never spills.  Each group's
@@ -739,7 +757,6 @@ def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -
     if fresh and len(table) + len(fresh) > MAX_MONOMIALS:
         table.clear()
         fresh.update(acc)
-    served = not fresh
     if fresh:
         field = (1 << width) - 1
         half = width * n
@@ -756,10 +773,6 @@ def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -
     del fresh  # frees a set as large as ``acc`` before the terms are built
     # ``Poly`` drops the zero terms.
     p = Poly(n, dict(zip(map(table.__getitem__, acc), acc.values())))
-    # A table past the bound holds one sum's monomials.  It is kept for the
-    # next sum, the other route of the same w, and emptied once that sum has
-    # found all its monomials in it, so it is not held through the expansion
-    # of the next w.
-    if served and len(table) > MAX_MONOMIALS:
+    if len(table) > MAX_MONOMIALS:
         table.clear()
     return p

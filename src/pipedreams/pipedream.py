@@ -5,10 +5,11 @@ staircase by crosses and bumps whose top reading is w's inverse; every
 per-permutation query reads them through ``pd_set``.  The diagram lists
 that several readers share (``pd_set``, ``mvpd_set``) and the small values
 read off them are cached; no polynomial is, as each is one fold, over a
-list or over the fill itself, that no sweep or command reads twice.  The
-monomials of the double sums are shared, though: ``signed_weight_sum`` keeps
-one table of them, for one size at a time, so equal terms of both routes
-and of every w are one object.
+list or over the fill itself, that no sweep or command reads twice.  A
+double sum only holds a weak reference to the last one, so both routes of
+one w return one polynomial while a caller holds it.  The monomials of the
+double sums are shared, though: ``signed_weight_sum`` keeps one table of
+them, for one size at a time, so equal terms of every w are one object.
 """
 
 from __future__ import annotations

@@ -50,9 +50,11 @@ class Monomial(NamedTuple):
 
 
 class Poly:
-    """Immutable sparse polynomial with integer coefficients."""
+    """Immutable sparse polynomial with integer coefficients.  Slotted, with
+    a ``__weakref__`` slot so that the double sums can remember the last
+    polynomial they built without keeping it alive."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "__weakref__")
 
     def __init__(self, n: int, terms: Mapping[Monomial, int] | None = None):
         self.n = n

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pipedreams import checks, mvpd
+from pipedreams import checks, diagrams, mvpd
 from pipedreams.bvpd import enumerate_bvpd
 from pipedreams.checks import CHECKS, run_check
 from pipedreams.cli import main
@@ -124,12 +124,22 @@ def test_the_pipe_dream_bound_comes_before_the_sweep(monkeypatch):
 
 def test_a_sweep_leaves_no_polynomial_alive():
     # Each polynomial is one fold over one diagram list that no sweep reads
-    # twice, so once the sweep is done none may be held by a cache.
+    # twice, so once the sweep is done none may be held by a cache.  Nor may
+    # the double sums remember one past its caller: both routes of each w of
+    # S_5 are summed and dropped, as in the benchmark's double-s5.
     script = (
         "import gc\n"
         "from pipedreams.checks import run_check\n"
+        "from pipedreams.mvpd import double_grothendieck_via_mvpd\n"
+        "from pipedreams.permutations import symmetric_group\n"
+        "from pipedreams.pipedream import double_grothendieck\n"
         "from pipedreams.polynomials import Poly\n"
         "assert run_check('eq1-vs-cor37', 4).ok\n"
+        "for w in symmetric_group(5):\n"
+        "    a = double_grothendieck(w)\n"
+        "    b = double_grothendieck_via_mvpd(w)\n"
+        "    assert a == b\n"
+        "del a, b\n"
         "gc.collect()\n"
         "print(sum(isinstance(o, Poly) for o in gc.get_objects()))\n"
     )
@@ -218,6 +228,39 @@ def test_a_broken_invariant_reader_is_caught(monkeypatch, name):
     _, _, (reader, fault), _, broken = BIJECTIONS[name]
     report = _planted_report(monkeypatch, name, reader, fault)
     assert any(f.split("\n")[0].endswith(broken) for f in report.failures)
+
+
+def test_a_passing_sweep_expands_no_double_sum(monkeypatch):
+    # Equal double groupings give equal sums, so a PASS expands neither.
+    def refuse(n, groups):
+        raise AssertionError("eq1-vs-cor37 expanded a double sum on a PASS")
+
+    monkeypatch.setattr(diagrams, "_expand_double", refuse)
+    assert run_check("eq1-vs-cor37", 4).ok
+
+
+def test_unequal_groupings_fall_back_to_the_sums(monkeypatch):
+    # Groupings that never compare equal leave the verdict to the sums,
+    # which agree, so the sweep still passes, expanding every w's sums.
+    expanded = []
+    real = diagrams._expand_double
+    monkeypatch.setattr(checks, "signed_groups", lambda w, ds, double: object())
+    monkeypatch.setattr(diagrams, "_expand_double", lambda n, g: expanded.append(n) or real(n, g))
+    assert run_check("eq1-vs-cor37", 3).ok
+    assert len(expanded) >= 6
+
+
+def test_an_extra_marked_diagram_breaks_both_sums(monkeypatch):
+    # A repeated MVPD doubles its group's sign: the groupings differ, and
+    # both sums the check then expands report it.
+    real = mvpd.mvpd_set
+    monkeypatch.setattr(mvpd, "mvpd_set", lambda w: real(w) + real(w)[:1])
+    monkeypatch.setattr(checks, "mvpd_set", lambda w: real(w) + real(w)[:1])
+    report = run_check("eq1-vs-cor37", 4)
+    ws = [str(w) for w in symmetric_group(4)]
+    assert report.failures == [
+        f"w={w}: {which} sums differ" for w in ws for which in ("single-variable", "double")
+    ]
 
 
 def test_a_missing_marked_diagram_breaks_both_sums(monkeypatch):

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -272,6 +274,7 @@ class TestMonomialTable:
     @pytest.fixture(autouse=True)
     def empty_table(self, monkeypatch):
         monkeypatch.setattr(diagrams, "_monomials", {})
+        monkeypatch.setattr(diagrams, "_last_double", None)
 
     def test_equal_monomials_are_one_object(self):
         polys = []
@@ -297,37 +300,69 @@ class TestMonomialTable:
                     ds = fill(w)
                     p = signed_weight_sum(w, ds, double=True)
                     assert p == expand_each(w, ds, double=True)
-                    held = len(diagrams._monomials[n])
-                    assert held <= max(diagrams.MAX_MONOMIALS, len(p.support()))
+                    assert len(diagrams._monomials[n]) <= diagrams.MAX_MONOMIALS
 
     def test_an_emptied_table_is_refilled_from_the_whole_sum(self, monkeypatch):
-        # 213's three monomials fill a table bounded at 3; 132 shares them
-        # and has 12 more, so its sum empties the table and decodes all 15.
-        monkeypatch.setattr(diagrams, "MAX_MONOMIALS", 3)
-        double_grothendieck(Perm.from_one_line([2, 1, 3]))
-        assert len(diagrams._monomials[3]) == 3
+        # 231's eight monomials enter a table bounded at 15; 132 shares four
+        # and has 11 more, so its sum empties the table and decodes all 15.
+        monkeypatch.setattr(diagrams, "MAX_MONOMIALS", 15)
+        double_grothendieck(Perm.from_one_line([2, 3, 1]))
+        assert len(diagrams._monomials[3]) == 8
         w = Perm.from_one_line([1, 3, 2])
         assert double_grothendieck(w) == expand_each(w, pd_set(w), double=True)
         assert len(diagrams._monomials[3]) == 15
 
-    def test_a_table_past_the_bound_serves_one_more_sum(self, monkeypatch):
+    def test_a_sum_past_the_bound_empties_the_table(self, monkeypatch):
         # 4231 has 128 distinct double monomials: its first route fills the
-        # table past a bound of 5, its second finds them all there and then
-        # empties it.
+        # table past a bound of 5 and empties it at its own end.  The second
+        # route groups alike, so it is served the held polynomial.
         monkeypatch.setattr(diagrams, "MAX_MONOMIALS", 5)
         w = Perm.from_one_line([4, 2, 3, 1])
         p = double_grothendieck(w)
-        assert len(diagrams._monomials[4]) == len(p.support()) > 5
-        q = double_grothendieck_via_mvpd(w)
+        assert len(p.support()) > 5 and not diagrams._monomials[4]
+        assert p == expand_each(w, pd_set(w), double=True)
+        assert double_grothendieck_via_mvpd(w) is p
         assert not diagrams._monomials[4]
-        q_keys = {m: m for m, _ in q.items()}
-        assert p == q and all(q_keys[m] is m for m, _ in p.items())
 
     def test_a_sweep_stays_within_the_bound(self):
         for w in symmetric_group(5):
             double_grothendieck(w)
             double_grothendieck_via_mvpd(w)
         assert 0 < len(diagrams._monomials[5]) <= diagrams.MAX_MONOMIALS
+
+
+class TestLastDoubleSum:
+    """A double sum whose size and grouping equal the last double sum's is
+    served that sum's polynomial while a caller still holds it."""
+
+    def test_both_routes_of_a_w_return_one_polynomial(self):
+        for n in range(1, 6):
+            for w in symmetric_group(n):
+                assert double_grothendieck(w) is double_grothendieck_via_mvpd(w), w
+
+    def test_another_grouping_is_expanded_afresh(self):
+        # 1432 is odd: under the even identity the same pipe dreams flip
+        # every sign, and one pipe dream fewer loses a group.
+        w, even = Perm.from_one_line([1, 4, 3, 2]), Perm.identity(4)
+        ds = pd_set(w)
+        p = signed_weight_sum(w, ds, double=True)
+        for v, es in ((even, ds), (w, ds[:-1])):
+            q = signed_weight_sum(v, es, double=True)
+            assert q is not p
+            assert q == expand_each(v, es, double=True)
+        assert signed_weight_sum(even, ds, double=True) == p.scale(-1)
+
+    def test_no_polynomial_is_kept_alive(self):
+        w = Perm.from_one_line([4, 2, 3, 1])
+        p, q = double_grothendieck(w), double_grothendieck_via_mvpd(w)
+        held = weakref.ref(p)
+        del p, q
+        gc.collect()
+        assert held() is None
+        assert double_grothendieck_via_mvpd(w) == expand_each(w, mvpd_set(w), double=True)
+
+    def test_a_polynomial_has_no_dict(self):
+        assert not hasattr(Poly(2), "__dict__")
 
 
 class TestJson:
