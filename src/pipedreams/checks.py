@@ -224,7 +224,9 @@ CHECKS: dict[str, tuple[Callable[[SweepReport, Perm], None], bool]] = {
 def run_check(name: str, n: int, inverse_fireworks_only: bool = False) -> SweepReport:
     """Sweep one check over its domain in S_n, narrowed to the inverse
     fireworks permutations on request.  The one bound, the pipe dreams', is
-    applied to every sweep before it starts: an n above it is refused."""
+    applied to every sweep before it starts: an n above it is refused.  A
+    ``ValueError`` raised while one w is checked, such as a map refusing a
+    diagram, is that w's witness, and the sweep goes on to the next w."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     require_pd_bound(n)
@@ -234,5 +236,8 @@ def run_check(name: str, n: int, inverse_fireworks_only: bool = False) -> SweepR
         if (fireworks_domain or inverse_fireworks_only) and not w.is_inverse_fireworks():
             continue
         report.checked += 1
-        body(report, w)
+        try:
+            body(report, w)
+        except ValueError as exc:
+            report.fail(f"w={w}: {exc}")
     return report

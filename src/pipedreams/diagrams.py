@@ -660,15 +660,14 @@ def weight(d: Diagram) -> Monomial:
 
 # The double sums of one size share their monomials: the 306,792 terms of
 # both double polynomials of every w of S_5 are 14,400 distinct monomials.
-# ``_monomials`` holds one table, for one size n at a time, that maps a packed
-# exponent int (see ``_expand_double``) to its Monomial.  Bounded, so a
-# sweep over larger n empties it rather than growing it without end; an
-# emptied monomial is built again, equal, at its next use.  ``_last_double``
-# is the last double sum's size, grouping and a weak reference to its
-# polynomial: both routes of one w group alike, so they share one polynomial.
+# ``_double`` is the one state of the double sums: the size of the last one,
+# a table of that size's monomials keyed by packed exponent int (see
+# ``_expand_double``), and the last sum's grouping with a weak reference to
+# its polynomial, since both routes of one w group alike.  A sum of another
+# size starts a fresh state.  The table never passes ``MAX_MONOMIALS``
+# entries: a sum whose monomials would take it past keeps them to itself.
 MAX_MONOMIALS = 32_768
-_monomials: dict[int, dict[int, Monomial]] = {}
-_last_double: tuple[int, dict[tuple, int], weakref.ref[Poly]] | None = None
+_double: tuple[int, dict[int, Monomial], dict[tuple, int], weakref.ref[Poly]] | None = None
 
 
 def signed_groups(w: Perm, ds: Iterable[Diagram], *, double: bool) -> dict[tuple, int]:
@@ -700,24 +699,26 @@ def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -
     This is the one place a weight is expanded: a single weight is one
     monomial per group of ``signed_groups``.  A double grouping equal to the
     last one's, of the same size, returns the last polynomial while a caller
-    still holds it, and any other goes to ``_expand_double``.  Raises
-    ``ValueError`` for a diagram of another size."""
-    global _last_double
+    still holds it, and any other goes to ``_expand_double`` with the table
+    of its size.  Raises ``ValueError`` for a diagram of another size."""
+    global _double
     groups = signed_groups(w, ds, double=double)
     if not double:
         return Poly(w.n, groups)
-    p = _last_double and _last_double[2]()
-    if p is None or _last_double[:2] != (w.n, groups):
-        p = _expand_double(w.n, groups)
-        _last_double = (w.n, groups, weakref.ref(p))
+    n, table, last, ref = _double if _double and _double[0] == w.n else (w.n, {}, None, None)
+    p = ref and ref()
+    if p is None or last != groups:
+        p = _expand_double(n, groups, table)
+        _double = (n, table, groups, weakref.ref(p))
     return p
 
 
-def _expand_double(n: int, groups: Mapping[tuple, int]) -> Poly:
+def _expand_double(n: int, groups: Mapping[tuple, int], table: dict[int, Monomial]) -> Poly:
     """The double sum of a grouping, by Horner's rule across its groups, so a
     prefix of weighty cells that groups share is expanded once.  Its
-    monomials come from the table, which is emptied before it would pass
-    ``MAX_MONOMIALS`` entries, and at the end of a sum that passes it alone."""
+    monomials come from ``table``, which takes the ones it lacks unless they
+    would take it past ``MAX_MONOMIALS`` entries; then the sum decodes all
+    its monomials into a table of its own, dropped with the call."""
     # A term is one int with a field of `width` bits per variable, x_1..x_n
     # then y_1..y_n.  An exponent counts the weighty cells of one row or one
     # column, so it is at most n < 2**width and never spills.  Each group's
@@ -727,8 +728,7 @@ def _expand_double(n: int, groups: Mapping[tuple, int]) -> Poly:
     width = n.bit_length()
     by_last: dict[tuple[int, int] | None, dict[tuple, dict[int, int]]] = {}
     for cells, sign in groups.items():
-        if sign:
-            by_last.setdefault(cells[-1] if cells else None, {})[cells] = {0: sign}
+        by_last.setdefault(cells[-1] if cells else None, {})[cells] = {0: sign}
     for j in range(n, 0, -1):
         for i in range(n, 0, -1):
             xb = 1 << width * (i - 1)
@@ -749,30 +749,20 @@ def _expand_double(n: int, groups: Mapping[tuple, int]) -> Poly:
     # Only the keys the table lacks are decoded; ``set(acc).difference``
     # costs the size of ``acc``, where ``acc.keys() - table.keys()`` would
     # walk the whole table.
-    table = _monomials.get(n)
-    if table is None:
-        _monomials.clear()
-        table = _monomials[n] = {}
     fresh = set(acc).difference(table)
-    if fresh and len(table) + len(fresh) > MAX_MONOMIALS:
-        table.clear()
-        fresh.update(acc)
-    if fresh:
-        field = (1 << width) - 1
-        half = width * n
-        xmask = (1 << half) - 1
-        halves = {e & xmask for e in fresh} | {e >> half for e in fresh}
-        exps = {h: tuple(h >> width * k & field for k in range(n)) for h in halves}
-        # ``tuple.__new__`` builds each key without the Python-level
-        # ``__new__`` of the NamedTuple.
-        new = tuple.__new__
-        # Stored one by one: ``update`` from a comprehension would build a
-        # second dict as large as ``fresh``.
-        for e in fresh:
-            table[e] = new(Monomial, (exps[e & xmask], exps[e >> half]))
-    del fresh  # frees a set as large as ``acc`` before the terms are built
+    if len(table) + len(fresh) > MAX_MONOMIALS:
+        table, fresh = {}, acc
+    field = (1 << width) - 1
+    half = width * n
+    xmask = (1 << half) - 1
+    halves = {e & xmask for e in fresh} | {e >> half for e in fresh}
+    exps = {h: tuple(h >> width * k & field for k in range(n)) for h in halves}
+    # ``tuple.__new__`` builds each key without the Python-level ``__new__``
+    # of the NamedTuple.
+    new = tuple.__new__
+    # Stored one by one: ``update`` from a comprehension would build a second
+    # dict as large as ``fresh``.
+    for e in fresh:
+        table[e] = new(Monomial, (exps[e & xmask], exps[e >> half]))
     # ``Poly`` drops the zero terms.
-    p = Poly(n, dict(zip(map(table.__getitem__, acc), acc.values())))
-    if len(table) > MAX_MONOMIALS:
-        table.clear()
-    return p
+    return Poly(n, dict(zip(map(table.__getitem__, acc), acc.values())))

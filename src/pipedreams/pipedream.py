@@ -8,8 +8,8 @@ read off them are cached; no polynomial is, as each is one fold, over a
 list or over the fill itself, that no sweep or command reads twice.  A
 double sum only holds a weak reference to the last one, so both routes of
 one w return one polynomial while a caller holds it.  The monomials of the
-double sums are shared, though: ``signed_weight_sum`` keeps one table of
-them, for one size at a time, so equal terms of every w are one object.
+double sums are shared, though: beside it, ``signed_weight_sum`` keeps one
+bounded table of them for one size, so equal terms of every w are one object.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from pipedreams import checks, diagrams, mvpd
 from pipedreams.bvpd import enumerate_bvpd
 from pipedreams.checks import CHECKS, run_check
 from pipedreams.cli import main
+from pipedreams.diagrams import DiagramError
 from pipedreams.permutations import Perm, symmetric_group
 from pipedreams.pipedream import MAX_N
 from pipedreams.polynomials import Monomial
@@ -211,6 +212,32 @@ def test_an_image_of_another_w_is_a_witness_not_an_abort(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(BIJECTIONS))
+def test_a_map_that_raises_is_a_witness_not_an_abort(monkeypatch, capsys, name):
+    # A refusal while one w is checked is that w's witness: the sweep exits
+    # 1, not 2, and every later w is still checked.
+    forward = BIJECTIONS[name][0]
+    real = getattr(checks, forward)
+    seen = []
+
+    def refuse_the_first(d, w):
+        seen.append(w)
+        if w == seen[0]:
+            raise DiagramError(f"planted refusal for {w}")
+        return real(d, w)
+
+    monkeypatch.setattr(checks, forward, refuse_the_first)
+    assert main(["check", "--what", name, "--n", "4"]) == 1
+    domain = [w for w in symmetric_group(4) if name == "prop36" or w.is_inverse_fireworks()]
+    first = domain[0]
+    assert capsys.readouterr().out.split("\n") == [
+        f"check {name} n=4: FAIL ({len(domain)} permutations)",
+        f"  witness: w={first}: planted refusal for {first}",
+        "",
+    ]
+    assert set(seen) == set(domain)
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTIONS))
 def test_a_constant_backward_map_breaks_the_round_trip(monkeypatch, name):
     forward, backward, _, _, _ = BIJECTIONS[name]
     real = getattr(checks, backward)
@@ -232,7 +259,7 @@ def test_a_broken_invariant_reader_is_caught(monkeypatch, name):
 
 def test_a_passing_sweep_expands_no_double_sum(monkeypatch):
     # Equal double groupings give equal sums, so a PASS expands neither.
-    def refuse(n, groups):
+    def refuse(n, groups, table):
         raise AssertionError("eq1-vs-cor37 expanded a double sum on a PASS")
 
     monkeypatch.setattr(diagrams, "_expand_double", refuse)
@@ -245,7 +272,7 @@ def test_unequal_groupings_fall_back_to_the_sums(monkeypatch):
     expanded = []
     real = diagrams._expand_double
     monkeypatch.setattr(checks, "signed_groups", lambda w, ds, double: object())
-    monkeypatch.setattr(diagrams, "_expand_double", lambda n, g: expanded.append(n) or real(n, g))
+    monkeypatch.setattr(diagrams, "_expand_double", lambda n, g, t: expanded.append(n) or real(n, g, t))
     assert run_check("eq1-vs-cor37", 3).ok
     assert len(expanded) >= 6
 

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from pipedreams.construct import Step, find_upgrade
 from pipedreams.diagrams import (
     Diagram,
+    DiagramError,
     Kind,
     Tile,
     is_member,
@@ -66,6 +69,25 @@ class TestRemovalMap:
         (p,) = pd_set(Perm.identity(4))
         with pytest.raises(ValueError):
             pd_to_mvpd(p, W2413)
+
+    @pytest.mark.parametrize(
+        "one_line, rows, maxima, refusal",
+        [
+            ([2, 1], "+J\nJ.", {1}, "cross at (1,1) reduced to a vertical strand"),
+            ([1, 3, 2], "b+J\n+J.\nJ..", {2}, "cross at (1,2) reduced to a west-north arc"),
+        ],
+    )
+    def test_a_cross_reduced_to_a_lone_strand_is_refused(
+        self, monkeypatch, one_line, rows, maxima, refusal
+    ):
+        # Prop. 3.6 keeps both refusals out of reach of the real removal
+        # sets, so each is planted through the maxima read; no MVPD is
+        # filled under the plant, which would cache codes read from it.
+        w = Perm.from_one_line(one_line)
+        pd = Diagram.parse_text(Kind.PD, w.n, rows)
+        monkeypatch.setattr(Perm, "lr_maxima", lambda self: frozenset(maxima))
+        with pytest.raises(DiagramError, match=rf"^{re.escape(refusal)}$"):
+            pd_to_mvpd(pd, w)
 
     def test_a_pd_grid_tagged_as_an_mvpd_is_refused(self):
         # The one pipe dream of 321, its tiles unchanged: it traces to the

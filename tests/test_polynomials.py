@@ -269,12 +269,12 @@ class TestSignedWeightSum:
 
 class TestMonomialTable:
     """The double sums take their monomials from one bounded table of the
-    monomials of one size; each test starts from an empty one."""
+    monomials of one size, held in the one state of the double sums; each
+    test starts from no state."""
 
     @pytest.fixture(autouse=True)
-    def empty_table(self, monkeypatch):
-        monkeypatch.setattr(diagrams, "_monomials", {})
-        monkeypatch.setattr(diagrams, "_last_double", None)
+    def no_state(self, monkeypatch):
+        monkeypatch.setattr(diagrams, "_double", None)
 
     def test_equal_monomials_are_one_object(self):
         polys = []
@@ -300,35 +300,39 @@ class TestMonomialTable:
                     ds = fill(w)
                     p = signed_weight_sum(w, ds, double=True)
                     assert p == expand_each(w, ds, double=True)
-                    assert len(diagrams._monomials[n]) <= diagrams.MAX_MONOMIALS
+                    size, table, _, _ = diagrams._double
+                    assert size == n
+                    assert len(table) <= diagrams.MAX_MONOMIALS
 
-    def test_an_emptied_table_is_refilled_from_the_whole_sum(self, monkeypatch):
-        # 231's eight monomials enter a table bounded at 15; 132 shares four
-        # and has 11 more, so its sum empties the table and decodes all 15.
+    def test_a_sum_that_would_pass_the_bound_leaves_the_table_as_it_was(self, monkeypatch):
+        # 231's eight monomials enter a table bounded at 15; 132 lacks 11
+        # more, which would take it to 19, so its sum keeps them to itself.
         monkeypatch.setattr(diagrams, "MAX_MONOMIALS", 15)
         double_grothendieck(Perm.from_one_line([2, 3, 1]))
-        assert len(diagrams._monomials[3]) == 8
+        kept = set(diagrams._double[1])
+        assert len(kept) == 8
         w = Perm.from_one_line([1, 3, 2])
         assert double_grothendieck(w) == expand_each(w, pd_set(w), double=True)
-        assert len(diagrams._monomials[3]) == 15
+        assert set(diagrams._double[1]) == kept
 
-    def test_a_sum_past_the_bound_empties_the_table(self, monkeypatch):
-        # 4231 has 128 distinct double monomials: its first route fills the
-        # table past a bound of 5 and empties it at its own end.  The second
+    def test_a_sum_past_the_bound_leaves_the_table_empty(self, monkeypatch):
+        # 4231 has 128 distinct double monomials: past a bound of 5, its
+        # first route decodes them into a table of its own.  The second
         # route groups alike, so it is served the held polynomial.
         monkeypatch.setattr(diagrams, "MAX_MONOMIALS", 5)
         w = Perm.from_one_line([4, 2, 3, 1])
         p = double_grothendieck(w)
-        assert len(p.support()) > 5 and not diagrams._monomials[4]
+        assert len(p.support()) > 5 and not diagrams._double[1]
         assert p == expand_each(w, pd_set(w), double=True)
         assert double_grothendieck_via_mvpd(w) is p
-        assert not diagrams._monomials[4]
+        assert not diagrams._double[1]
 
     def test_a_sweep_stays_within_the_bound(self):
         for w in symmetric_group(5):
             double_grothendieck(w)
             double_grothendieck_via_mvpd(w)
-        assert 0 < len(diagrams._monomials[5]) <= diagrams.MAX_MONOMIALS
+        size, table, _, _ = diagrams._double
+        assert size == 5 and 0 < len(table) <= diagrams.MAX_MONOMIALS
 
 
 class TestLastDoubleSum:
