@@ -59,11 +59,11 @@ def _read_diagram(path: str, kinds: Sequence[Kind]) -> Diagram:
             return Diagram.from_json(json.loads(text))
         except (RecursionError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
-    n = text.count("\n") + 1
+    rows = text.split("\n")
     problems = []
     for kind in kinds:
         try:
-            return Diagram.parse_text(kind, n, text)
+            return Diagram.from_rows(kind, len(rows), rows)
         except DiagramError as exc:
             problems.append(f"not {kind.noun}: {exc}")
     raise ValueError(f"{path}: " + "; ".join(problems))

@@ -20,7 +20,7 @@ from .diagrams import (
     Kind,
     Tile,
     TraceResult,
-    _member_trace,
+    member_trace,
     require_kind,
     require_member,
     trace,
@@ -53,6 +53,11 @@ def _foot(d: Diagram, i: int, j: int) -> int:
         i_prime += 1
     if i_prime > d.rows or d.tile(i_prime, j) is not Tile.ELBOW_WN:
         raise DiagramError(f"({i_prime},{j}): droop needs a west-north elbow at the foot")
+    # The two neighbour refusals below fire on no grid the tracer accepts:
+    # ``locate_droop_site`` at every cell of 34,426 such MVPD grids (every
+    # edge-consistent filling for n <= 4, every MVPD of S_5 and S_6) raised
+    # neither.  They stay so that an unchecked grid gets a named refusal,
+    # not a KeyError from ``_LANDING``.
     for r in range(i + 1, i_prime):
         if d.tile(r, j + 1) is not Tile.HORIZONTAL:
             raise DiagramError(f"({r},{j + 1}): expected a horizontal beside the run")
@@ -149,7 +154,7 @@ class Step:
         else:
             raise DiagramError(f"unknown step op {self.op!r}")
         out = d.with_tiles(updates)
-        out_tr = _member_trace(out, w)
+        out_tr = member_trace(out, w)
         if out_tr is None:
             raise DiagramError(f"{self.op} at ({i},{j}) left the diagram set of {w.letters}")
         return out, out_tr

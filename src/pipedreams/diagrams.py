@@ -4,7 +4,8 @@ three species compute.
 
 Coordinates are one-based ``(row, column)`` with row 1 at the top, so a
 "lower" tile has a larger row index.  Pipes enter from the left edge, move
-only north and east, and exit from the top edge.
+only north and east, and exit from the top edge.  ``Diagram.from_rows`` is
+the one reader of a grid from outside, one string of glyphs per row.
 
 ``trace`` sweeps a diagram once and returns a ``TraceResult``: the code read
 off the top edge, the pairs of pipes that really cross, the labels of every
@@ -15,11 +16,12 @@ The tracer is also the one edge rule: it raises on the first pair of tiles
 whose edges disagree, and ``validate`` reports that.
 
 A diagram of w in a species is a grid in the species' tile alphabet whose
-edges agree and whose traced code is ``code_of(kind, w)``.  ``is_member``
-tests that.  One fill, ``_fill``, backtracks every such grid, marks
-included, routing the labels by the tracer's rule as it fills, placing each
-mark where ``markable`` allows it and pruning by the code, and hands each
-complete filling to a leaf.  Its folds differ only in that leaf: ``members``
+edges agree and whose traced code is ``code_of(kind, w)``.  ``member_trace``
+tests that, returning the checked trace.  One fill, ``_fill``, backtracks
+every such grid, marks included, taking each cell's tiles from its
+alphabet, routing the labels by the tracer's rule as it fills, and pruning
+by the code and a mark by ``markable``'s rule, and hands each complete
+filling to a leaf.  Its folds differ only in that leaf: ``members``
 lists the fillings as diagrams in canonical order, and ``weight_counts``
 counts them by weight with no diagram built.  So both read exactly the same
 fillings, under the same ``MAX_LISTED`` budget.
@@ -99,7 +101,7 @@ def _row_text(row: Iterable[Tile]) -> str:
 @lru_cache(maxsize=4096)
 def _row(text: str) -> tuple[Tile, ...]:
     """The one tuple of the row whose glyphs are ``text``: every row that
-    ``members``, ``Diagram.with_tiles`` and ``Diagram.parse_text`` keep is
+    ``members``, ``Diagram.with_tiles`` and ``Diagram.from_rows`` keep is
     built here, so equal rows are one object across all diagrams and all w."""
     return _tiles(text)
 
@@ -223,8 +225,10 @@ class Diagram:
         return "\n".join(map(_row_text, self.tiles))
 
     @classmethod
-    def parse_text(cls, kind: Kind, n: int, text: str) -> Diagram:
-        rows = text.split("\n")
+    def from_rows(cls, kind: Kind, n: int, rows: Iterable[str]) -> Diagram:
+        """The one reader of a diagram from outside: one string of glyphs per
+        row, checked for its shape and by ``validate``, else a
+        ``DiagramError``."""
         grid: list[tuple[Tile, ...]] = []
         for line in rows:
             try:
@@ -256,7 +260,7 @@ class Diagram:
         ok = isinstance(kind, str) and type(n) is int and n >= 1 and isinstance(rows, list)
         if not ok or not all(isinstance(r, str) for r in rows):
             raise DiagramError("expected a string kind, an integer n >= 1 and a list of string rows")
-        return cls.parse_text(Kind(kind), n, "\n".join(rows))
+        return cls.from_rows(Kind(kind), n, rows)
 
 
 # The labels of one traced cell: (west in, south in, north out, east out),
@@ -358,8 +362,8 @@ def trace(d: Diagram) -> TraceResult:
 
 def validate(d: Diagram) -> list[str]:
     """Invariant violations of the diagram's species (empty list = valid):
-    every tile outside its alphabet, else the first edge problem the tracer
-    meets, else every misplaced mark."""
+    every tile outside its alphabet and the first edge problem the tracer
+    meets; when there are neither, every misplaced mark."""
     return _checked_trace(d)[0]
 
 
@@ -422,15 +426,10 @@ def code_of(kind: Kind, w: Perm) -> tuple[int, ...]:
     return w.reduced_column_code()
 
 
-def is_member(d: Diagram, w: Perm) -> bool:
-    """True iff d is a diagram of w in its species: a valid grid whose
-    traced code is ``code_of(d.kind, w)``."""
-    return _member_trace(d, w) is not None
-
-
-def _member_trace(d: Diagram, w: Perm) -> TraceResult | None:
-    """The checked trace of d if d is a diagram of w, else ``None``: the
-    one membership test, for callers that go on to read the trace."""
+def member_trace(d: Diagram, w: Perm) -> TraceResult | None:
+    """The checked trace of d if d is a diagram of w in its species, else
+    ``None``: the one membership test, a valid grid whose traced code is
+    ``code_of(d.kind, w)``."""
     if d.n != w.n:
         return None
     problems, tr = _checked_trace(d)
@@ -447,7 +446,7 @@ def require_kind(d: Diagram, kind: Kind) -> None:
 def require_member(d: Diagram, kind: Kind, w: Perm) -> TraceResult:
     """d's checked trace, refusing a diagram of another species or not of w."""
     require_kind(d, kind)
-    tr = _member_trace(d, w)
+    tr = member_trace(d, w)
     if tr is None:
         raise ValueError(f"diagram does not belong to {w.letters}")
     return tr
@@ -466,10 +465,11 @@ MAX_LISTED = 100_000
 
 
 @lru_cache(maxsize=None)
-def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple, bool], ...]:
-    """``members``' cells in the tracer's order, each as (i, j, opts, marks)
-    with its unmarked tiles in four slots, opts[takes a west pipe][takes a
-    south pipe], and ``marks`` true iff it may hold a marked elbow.
+def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple], ...]:
+    """``members``' cells in the tracer's order, each as (i, j, opts) with
+    its alphabet in four slots, opts[takes a west pipe][takes a south pipe],
+    each slot in ``Tile``'s order, so an unmarked elbow comes before a
+    marked one.
 
     A cell past the anti-diagonal is left out unless it opens its row: its
     alphabet is a blank, and no pipe reaches it, since the edge tiles send
@@ -486,16 +486,14 @@ def _fill_plan(kind: Kind, n: int) -> tuple[tuple[int, int, tuple, bool], ...]:
                 continue
             opts: tuple[tuple[list[Tile], ...], ...] = (([], []), ([], []))
             for t in alphabet:
-                if t is not _MARKED_SE:
-                    opts[t.west][t.south].append(t)
-            by_w = tuple(tuple(map(tuple, by_s)) for by_s in opts)
-            plan.append((i, j, by_w, _MARKED_SE in alphabet))
+                opts[t.west][t.south].append(t)
+            plan.append((i, j, tuple(tuple(map(tuple, by_s)) for by_s in opts)))
     return tuple(plan)
 
 
 def _fill(kind: Kind, w: Perm, leaf: Callable[[list[tuple[Tile, ...]]], None]) -> None:
     """Backtrack every diagram of w in the species, marks included, exactly
-    the grids that ``is_member`` accepts, and call ``leaf`` at each complete
+    the grids that ``member_trace`` accepts, and call ``leaf`` at each complete
     filling with its rows, top to bottom, as tuples.  The list is the fill's
     own and holds the filling during the call only; a leaf may swap a row
     for an equal tuple, which the fill keeps until it refreezes that row.
@@ -513,12 +511,12 @@ def _fill(kind: Kind, w: Perm, leaf: Callable[[list[tuple[Tile, ...]]], None]) -
     these rules leave no dead branch (none on S_1 to S_6); the MVPD and BVPD
     fills still enter some.
 
-    A marked elbow routes as an unmarked one, so after the fillings below a
-    south-east elbow, the cell is re-placed marked and filled again if its
-    pipe owns a horizontal, all of which lie lower (``markable``'s rule);
-    each horizontal is counted on its pipe where it is placed, and each
-    cell's ``marks`` says where a mark may go.  Each finished row is frozen
-    into a tuple as the sweep moves above it, and row 1 at each leaf.
+    A marked elbow is one more option of its cell, routed as an unmarked
+    one and tried after it.  It is dead unless its pipe owns a horizontal:
+    the pipe enters from the south, so every horizontal placed on it so far
+    lies lower (``markable``'s rule).  Each horizontal is counted on its
+    pipe where it is placed.  Each finished row is frozen into a tuple as
+    the sweep moves above it, and row 1 at each leaf.
 
     The plan, ``_fill_plan(kind, n)``, is the cells alone: it holds nothing
     of w and skips the cells past the anti-diagonal that no pipe reaches.
@@ -560,7 +558,7 @@ def _fill(kind: Kind, w: Perm, leaf: Callable[[list[tuple[Tile, ...]]], None]) -
     def fill(k: int, west: int) -> None:
         if k == last:
             return finish()
-        i, j, opts, marks = plan[k]
+        i, j, opts = plan[k]
         if j == 1:
             west = i if i in entering else 0
             if i < rows:
@@ -573,6 +571,7 @@ def _fill(kind: Kind, w: Perm, leaf: Callable[[list[tuple[Tile, ...]]], None]) -
                 and not (n_out and exit_col[n_out] < j)
                 and (i > 1 or n_out == top[j])
                 and not (t is _CROSS and n_out == s_in and exit_col[s_in] > exit_col[west])
+                and not (t is _MARKED_SE and not owned[s_in])
             ):
                 grid[i - 1][j - 1] = t
                 south[j] = n_out
@@ -582,9 +581,6 @@ def _fill(kind: Kind, w: Perm, leaf: Callable[[list[tuple[Tile, ...]]], None]) -
                     owned[west] -= 1
                 else:
                     fill(k + 1, e_out)
-                    if t is _ELBOW_SE and marks and owned[s_in]:
-                        grid[i - 1][j - 1] = _MARKED_SE
-                        fill(k + 1, e_out)
             if t is _CROSS and n_out == s_in:  # this tile crossed its pair
                 crossed.discard(frozenset((west, s_in)))
         south[j] = s_in

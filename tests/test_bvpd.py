@@ -163,7 +163,7 @@ class TestColumnMaps:
         # 321's PD passes the marked tile census, the 2413 grids fail it: the
         # species is refused before either.
         w = Perm.from_one_line(int(v) for v in w.split(","))
-        d = Diagram.parse_text(kind, w.n, rows.replace("/", "\n"))
+        d = Diagram.from_rows(kind, w.n, rows.split("/"))
         with pytest.raises(ValueError, match=f"expected an MVPD, got {kind.value}"):
             mvpd_to_bvpd(d, w)
 

@@ -455,8 +455,10 @@ class TestRender:
         [
             ({"kind": "PD", "n": 1}, "missing key(s) 'rows'"),
             ({"kind": "PD", "n": -3, "rows": []}, "an integer n >= 1"),
+            ({"kind": "PD", "n": 2, "rows": ["+J\nJ."]}, "unknown tile character '\\n'"),
+            ({"kind": "BVPD", "n": 1, "rows": []}, "expected 1x0 grid for BVPD of size 1"),
         ],
-        ids=["no-rows", "negative-n"],
+        ids=["no-rows", "negative-n", "line-break-row", "empty-bvpd"],
     )
     def test_json_without_a_grid_names_the_field(self, capsys, tmp_path, data, named):
         src = tmp_path / "d.json"

@@ -20,7 +20,7 @@ from pipedreams.diagrams import (
     DiagramError,
     Kind,
     Tile,
-    is_member,
+    member_trace,
     trace,
     weight,
     weighty_cells,
@@ -68,7 +68,7 @@ def fake_cross_input(name):
 
 
 def mvpd(n, text):
-    return Diagram.parse_text(Kind.MVPD, n, text)
+    return Diagram.from_rows(Kind.MVPD, n, text.split("\n"))
 
 
 def grid(text):
@@ -269,7 +269,7 @@ class TestConstructUp:
         w = W14253_INV
         assert w.inverse.letters == (1, 4, 2, 5, 3)
         m = mvpd(5, EX59_TEXT)
-        assert is_member(m, w) and find_upgrade(m, trace(m), w) is None and not is_top(m, w)
+        assert member_trace(m, w) is not None and find_upgrade(m, trace(m), w) is None and not is_top(m, w)
         cert = construct_up(m, w)
         assert [s.op for s in cert.steps] == ["droop_prime", "droop_prime"]
         assert [s.cell for s in cert.steps] == [(1, 1), (2, 2)]
@@ -295,7 +295,7 @@ class TestConstructUp:
     def test_rejects_other_species(self):
         # A PD or BVPD of w is a member of w's set, but not an MVPD to raise.
         for d in (pd_set(W2413)[0], enumerate_bvpd(W2413)[0]):
-            assert is_member(d, W2413)
+            assert member_trace(d, W2413) is not None
             with pytest.raises(ValueError, match="expected an MVPD"):
                 construct_up(d, W2413)
 
@@ -335,14 +335,14 @@ class TestConstructUp:
 
     def test_checks_each_diagram_once(self, monkeypatch):
         checked = []
-        member_trace = construct._member_trace
+        member_trace = construct.member_trace
 
         def recording_member_trace(d, w):
             checked.append(d)
             return member_trace(d, w)
 
-        monkeypatch.setattr(construct, "_member_trace", recording_member_trace)
-        monkeypatch.setattr(diagrams, "_member_trace", recording_member_trace)
+        monkeypatch.setattr(construct, "member_trace", recording_member_trace)
+        monkeypatch.setattr(diagrams, "member_trace", recording_member_trace)
         inputs = [(W14253_INV, mvpd(5, EX59_TEXT))]
         inputs += [fake_cross_input(name) for name in ("right-n6", "left-n6")]
         for w in symmetric_group(4):

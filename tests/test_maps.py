@@ -11,7 +11,7 @@ text that blames the input or w, never the map's own image.
 import re
 
 from pipedreams.bvpd import bvpd_to_mvpd, bvpd_to_pd, mvpd_to_bvpd, pd_to_bvpd
-from pipedreams.diagrams import Kind, is_member, members
+from pipedreams.diagrams import Kind, member_trace, members
 from pipedreams.mvpd import is_top, mvpd_to_pd, pd_to_mvpd
 from pipedreams.permutations import symmetric_group
 from pipedreams.pipedream import top_pd_set
@@ -50,7 +50,7 @@ def test_every_map_checks_its_input_and_only_its_input():
             fireworks = w.is_inverse_fireworks()
             for d in diagrams:
                 # A BVPD's code is defined for inverse fireworks w only.
-                member = (fireworks or d.kind is not Kind.BVPD) and is_member(d, w)
+                member = (fireworks or d.kind is not Kind.BVPD) and member_trace(d, w) is not None
                 for name, (fn, source, target, top_only) in MAPS.items():
                     calls += 1
                     given = member and d.kind is source
@@ -64,7 +64,7 @@ def test_every_map_checks_its_input_and_only_its_input():
                         if admitted or not blamed:
                             wrong.append((name, w.letters, d.render_text(), text))
                         continue
-                    if not (admitted and image.kind is target and is_member(image, w)):
+                    if not (admitted and image.kind is target and member_trace(image, w) is not None):
                         wrong.append((name, w.letters, d.render_text(), image.render_text()))
     assert calls == 21_582
     assert wrong == []

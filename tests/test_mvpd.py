@@ -8,7 +8,7 @@ from pipedreams.diagrams import (
     DiagramError,
     Kind,
     Tile,
-    is_member,
+    member_trace,
     members,
     sort_key,
     trace,
@@ -33,7 +33,7 @@ W21 = Perm.from_one_line([2, 1])
 
 
 def parse_mvpd(n, text):
-    return Diagram.parse_text(Kind.MVPD, n, text)
+    return Diagram.from_rows(Kind.MVPD, n, text.split("\n"))
 
 
 def removal_image(w):
@@ -61,7 +61,7 @@ class TestRemovalMap:
         w = u.inverse
         text = "...R+J\n---+J.\n---J..\n......\n......\n......"
         m = parse_mvpd(6, text)
-        assert is_member(m, w)
+        assert member_trace(m, w) is not None
         p = mvpd_to_pd(m, w)
         assert pd_to_mvpd(p, w) == m
 
@@ -84,7 +84,7 @@ class TestRemovalMap:
         # sets, so each is planted through the maxima read; no MVPD is
         # filled under the plant, which would cache codes read from it.
         w = Perm.from_one_line(one_line)
-        pd = Diagram.parse_text(Kind.PD, w.n, rows)
+        pd = Diagram.from_rows(Kind.PD, w.n, rows.split("\n"))
         monkeypatch.setattr(Perm, "lr_maxima", lambda self: frozenset(maxima))
         with pytest.raises(DiagramError, match=rf"^{re.escape(refusal)}$"):
             pd_to_mvpd(pd, w)
@@ -276,7 +276,7 @@ class TestSaturation:
                     continue
                 step, m2, tr2 = up
                 assert m2 == step.apply(m, w) and tr2 == trace(m2)
-                assert is_member(m2, w)
+                assert member_trace(m2, w) is not None
                 assert weighty_cells(m2) == weighty_cells(m) | {step.cell}
 
     def test_markable_matches_a_scan_of_the_pipe(self):
