@@ -75,7 +75,7 @@ def _polynomial_routes_agree(report: SweepReport, w: Perm) -> None:
     first, and the sums are expanded only when they differ: equal double
     groupings imply equal single ones, since a weight is the row count of
     the weighty cells."""
-    if signed_groups(w, mvpd_set(w), double=True) == signed_groups(w, pd_set(w), double=True):
+    if signed_groups(w, mvpd_set(w)) == signed_groups(w, pd_set(w)):
         return
     if grothendieck_via_mvpd(w) != grothendieck(w):
         report.fail(f"w={w}: single-variable sums differ")

@@ -52,8 +52,8 @@ def _read_diagram(path: str, kinds: Sequence[Kind]) -> Diagram:
     the first of ``kinds`` that accepts it."""
     try:
         text = Path(path).read_text().rstrip("\n")
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if text.lstrip().startswith("{"):
         try:
             return Diagram.from_json(json.loads(text))

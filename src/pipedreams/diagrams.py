@@ -1,6 +1,6 @@
 """Tile grids shared by the three diagram species, the pipe tracer, the one
-definition of a diagram of a permutation, and the signed weight sum that all
-three species compute.
+definition of a diagram of a permutation, and the signed weight sums: the
+single sum, built from weight counts, and the double sum of listed diagrams.
 
 Coordinates are one-based ``(row, column)`` with row 1 at the top, so a
 "lower" tile has a larger row index.  Pipes enter from the left edge, move
@@ -654,6 +654,16 @@ def weight(d: Diagram) -> Monomial:
     return Monomial(_weighty_per_row(d.kind, d.tiles), (0,) * d.n)
 
 
+def signed_single_sum(w: Perm, counts: Mapping[tuple[int, ...], int]) -> Poly:
+    """The signed single-variable sum of w's diagrams from their weight
+    counts ({row counts: diagrams}, as ``weight_counts`` folds them): each
+    weight x^counts times its count, signed (-1)^(k - inversions(w)), where
+    k, the sum of the counts, is the weighty-tile count of its diagrams."""
+    ell = w.inversions()
+    y = (0,) * w.n
+    return Poly(w.n, {Monomial(x, y): -c if (sum(x) - ell) % 2 else c for x, c in counts.items()})
+
+
 # The double sums of one size share their monomials: the 306,792 terms of
 # both double polynomials of every w of S_5 are 14,400 distinct monomials.
 # ``_double`` is the one state of the double sums: the size of the last one,
@@ -666,41 +676,33 @@ MAX_MONOMIALS = 32_768
 _double: tuple[int, dict[int, Monomial], dict[tuple, int], weakref.ref[Poly]] | None = None
 
 
-def signed_groups(w: Perm, ds: Iterable[Diagram], *, double: bool) -> dict[tuple, int]:
-    """The one grouping of a signed weight sum: each diagram's sign, as in
-    ``signed_weight_sum``, summed per key, the weight of a single sum or the
-    column-major weighty cells of a double one.  Equal groupings give equal
-    sums.  Raises ``ValueError`` at the first diagram of another size."""
-    n = w.n
+def signed_groups(w: Perm, ds: Iterable[Diagram]) -> dict[tuple, int]:
+    """The one grouping of a double sum: each diagram's sign, as in
+    ``signed_weight_sum``, summed per key, its column-major weighty cells.
+    Equal groupings give equal sums.  Raises ``ValueError`` at the first
+    diagram of another size."""
     ell = w.inversions()
     groups: dict[tuple, int] = {}
     for d in ds:
-        if d.n != n:
-            raise ValueError(f"a diagram of size {d.n} in the weight sum of a size-{n} w")
-        if double:
-            key = tuple(sorted((j, i) for i, j in weighty_cells(d)))
-            k = len(key)
-        else:
-            key = weight(d)
-            k = key.degree
-        groups[key] = groups.get(key, 0) + (-1 if (k - ell) % 2 else 1)
+        if d.n != w.n:
+            raise ValueError(f"a diagram of size {d.n} in the weight sum of a size-{w.n} w")
+        key = tuple(sorted((j, i) for i, j in weighty_cells(d)))
+        groups[key] = groups.get(key, 0) + (-1 if (len(key) - ell) % 2 else 1)
     return groups
 
 
-def signed_weight_sum(w: Perm, ds: Iterable[Diagram], *, double: bool = False) -> Poly:
-    """Sum of (-1)^(k - inversions(w)) times the weight of each diagram, where
-    k counts its weighty tiles.  The double weight is the product of
-    x_i + y_j - x_i*y_j over the weighty cells (i, j).
+def signed_weight_sum(w: Perm, ds: Iterable[Diagram]) -> Poly:
+    """The double sum: (-1)^(k - inversions(w)) times the double weight of
+    each diagram, where k counts its weighty tiles, and the double weight is
+    the product of x_i + y_j - x_i*y_j over the weighty cells (i, j).
 
-    This is the one place a weight is expanded: a single weight is one
-    monomial per group of ``signed_groups``.  A double grouping equal to the
-    last one's, of the same size, returns the last polynomial while a caller
-    still holds it, and any other goes to ``_expand_double`` with the table
-    of its size.  Raises ``ValueError`` for a diagram of another size."""
+    This is the one place a double weight is expanded.  A grouping of
+    ``signed_groups`` equal to the last one's, of the same size, returns the
+    last polynomial while a caller still holds it, and any other goes to
+    ``_expand_double`` with the table of its size.  Raises ``ValueError``
+    for a diagram of another size."""
     global _double
-    groups = signed_groups(w, ds, double=double)
-    if not double:
-        return Poly(w.n, groups)
+    groups = signed_groups(w, ds)
     n, table, last, ref = _double if _double and _double[0] == w.n else (w.n, {}, None, None)
     p = ref and ref()
     if p is None or last != groups:

@@ -1,7 +1,8 @@
 """Marked vertical-less diagrams and the pipe-removal bijection with PDs.
 
-``mvpd_set`` is the cached ``members(Kind.MVPD, w)``, marks included.  A
-pipe dream maps to one by deleting the logical paths of the pipes labelled
+``mvpd_set`` is ``members(Kind.MVPD, w)``, marks included, listed afresh
+on each call; ``grothendieck_via_mvpd`` and the double route sum that list.
+A pipe dream maps to one by deleting the logical paths of the pipes labelled
 by left-to-right maxima of the inverse permutation; a cross that loses its
 north-bound strand keeps the surviving south-to-east arc as a *marked*
 elbow.  The inverse map is a cell-local rewrite; prop36 checks that the two
@@ -10,7 +11,7 @@ are a bijection between the pipe dreams and ``mvpd_set``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
 
 from .diagrams import (
     Diagram,
@@ -19,6 +20,7 @@ from .diagrams import (
     Tile,
     members,
     require_member,
+    signed_single_sum,
     signed_weight_sum,
     weight,
     weighty_cells,
@@ -77,18 +79,18 @@ def _mvpd_to_pd(d: Diagram) -> Diagram:
     return pd_from_crosses(d.n, weighty_cells(d))
 
 
-@lru_cache(maxsize=None)
 def mvpd_set(w: Perm) -> tuple[Diagram, ...]:
     """The marked vertical-less diagrams of w, in canonical order."""
     return members(Kind.MVPD, w)
 
 
 def grothendieck_via_mvpd(w: Perm) -> Poly:
-    return signed_weight_sum(w, mvpd_set(w))
+    """The single sum over the listed MVPDs: the second route to G_w."""
+    return signed_single_sum(w, Counter(weight(d).x for d in mvpd_set(w)))
 
 
 def double_grothendieck_via_mvpd(w: Perm) -> Poly:
-    return signed_weight_sum(w, mvpd_set(w), double=True)
+    return signed_weight_sum(w, mvpd_set(w))
 
 
 def tile_census_identity(d: Diagram, w: Perm) -> bool:

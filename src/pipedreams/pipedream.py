@@ -1,15 +1,16 @@
 """Pipe dreams and the signed weight sums they generate.
 
 The pipe dreams of w are ``members(Kind.PD, w)``, the fillings of the
-staircase by crosses and bumps whose top reading is w's inverse; every
-per-permutation query reads them through ``pd_set``.  The diagram lists
-that several readers share (``pd_set``, ``mvpd_set``) and the small values
-read off them are cached; no polynomial is, as each is one fold, over a
-list or over the fill itself, that no sweep or command reads twice.  A
-double sum only holds a weak reference to the last one, so both routes of
-one w return one polynomial while a caller holds it.  The monomials of the
-double sums are shared, though: beside it, ``signed_weight_sum`` keeps one
-bounded table of them for one size, so equal terms of every w are one object.
+staircase by crosses and bumps whose top reading is w's inverse; ``pd_set``
+lists them afresh on each call, for the maps and the double sums.  The
+single sum, the degree and the top component are read off the PD weight
+fold, ``weight_counts(Kind.PD, w)``, with no diagram listed.  No diagram
+list outlives its call, and no polynomial is cached; only the degree is,
+since ``cor26`` reads it for w and for w's inverse.  A double sum holds a
+weak reference to the last one, so both routes of one w return one
+polynomial while a caller holds it, and beside it ``signed_weight_sum``
+keeps one bounded table of monomials for one size, so equal terms of
+every w are one object.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .diagrams import Diagram, Kind, _alphabets, members, signed_weight_sum, weight
+from .diagrams import Diagram, Kind, _alphabets, members, signed_single_sum, signed_weight_sum
+from .diagrams import weight, weight_counts
 from .permutations import Perm, symmetric_group
-from .polynomials import Poly
+from .polynomials import Monomial, Poly
 
 # Pipe dreams are filled up to this size only.  At n = 7 a sweep that lists
 # the pipe dreams of every w lists 2,097,152 of them (303 s at 149 MB, with
@@ -58,11 +60,17 @@ def require_pd_bound(n: int) -> None:
         raise ValueError(f"n={n} above the pipe-dream bound {MAX_N}")
 
 
-@lru_cache(maxsize=None)
 def pd_set(w: Perm) -> tuple[Diagram, ...]:
     """All pipe dreams whose traced top reading is the inverse of w."""
     require_pd_bound(w.n)
     return members(Kind.PD, w)
+
+
+def _pd_weights(w: Perm) -> dict[tuple[int, ...], int]:
+    """The PD weight fold of w ({row counts: pipe dreams}), under the bound
+    of ``pd_set``: each single-variable reader's one pass."""
+    require_pd_bound(w.n)
+    return weight_counts(Kind.PD, w)
 
 
 def enumerate_all(n: int) -> PipeDreamIndex:
@@ -73,19 +81,19 @@ def enumerate_all(n: int) -> PipeDreamIndex:
 
 def grothendieck(w: Perm) -> Poly:
     """Signed sum of cross-row monomials over the pipe dreams of w."""
-    return signed_weight_sum(w, pd_set(w))
+    return signed_single_sum(w, _pd_weights(w))
 
 
 def double_grothendieck(w: Perm) -> Poly:
     """Signed sum of the expanded (x_i + y_j - x_i*y_j) cell products."""
-    return signed_weight_sum(w, pd_set(w), double=True)
+    return signed_weight_sum(w, pd_set(w))
 
 
 @lru_cache(maxsize=None)
 def max_cross_count(w: Perm) -> int:
     """Largest cross count over the pipe dreams of w (the degree of its
-    signed weight sum); computed by enumeration."""
-    return max(weight(d).degree for d in pd_set(w))
+    signed weight sum), read off the weight fold."""
+    return max(map(sum, _pd_weights(w)))
 
 
 def top_pd_set(w: Perm) -> tuple[Diagram, ...]:
@@ -96,6 +104,7 @@ def top_pd_set(w: Perm) -> tuple[Diagram, ...]:
 
 def top_grothendieck(w: Perm) -> Poly:
     """The top-degree component of the Grothendieck polynomial, its signs
-    made positive; computed by enumeration."""
-    sign = -1 if (max_cross_count(w) - w.inversions()) % 2 else 1
-    return grothendieck(w).top_component().scale(sign)
+    made positive: the weight fold's counts at its largest degree."""
+    counts = _pd_weights(w)
+    best = max(map(sum, counts))
+    return Poly(w.n, {Monomial(x, (0,) * w.n): c for x, c in counts.items() if sum(x) == best})

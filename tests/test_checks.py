@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pipedreams import checks, diagrams, mvpd
+from pipedreams import bvpd, checks, diagrams, mvpd, pipedream
 from pipedreams.bvpd import enumerate_bvpd
 from pipedreams.checks import CHECKS, run_check
 from pipedreams.cli import main
@@ -124,10 +124,11 @@ def test_the_pipe_dream_bound_comes_before_the_sweep(monkeypatch):
 
 
 def test_a_sweep_leaves_no_polynomial_alive():
-    # Each polynomial is one fold over one diagram list that no sweep reads
-    # twice, so once the sweep is done none may be held by a cache.  Nor may
-    # the double sums remember one past its caller: both routes of each w of
-    # S_5 are summed and dropped, as in the benchmark's double-s5.
+    # Each polynomial is one fold, over a diagram list or over the fill, that
+    # no sweep reads twice, so once the sweep is done none may be held by a
+    # cache.  Nor may the double sums remember one past its caller: both
+    # routes of each w of S_5 are summed and dropped, as in the benchmark's
+    # double-s5.
     script = (
         "import gc\n"
         "from pipedreams.checks import run_check\n"
@@ -147,6 +148,32 @@ def test_a_sweep_leaves_no_polynomial_alive():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_each_sweep_lists_each_diagram_set_at_most_once(monkeypatch):
+    # The species modules import ``members`` by name, so wrapping those names
+    # sees every listing; the weight folds list nothing.  No list outlives
+    # its call, so a second sweep in the same process lists what the first
+    # did, and the sweeps that read only degrees and single sums list none.
+    listed = []
+
+    def listing(kind, w):
+        listed.append((kind, w))
+        return diagrams.members(kind, w)
+
+    for mod in (pipedream, mvpd, bvpd):
+        monkeypatch.setattr(mod, "members", listing)
+    sweeps = []
+    for _ in range(2):
+        sweep = {}
+        for name in sorted(CHECKS):
+            listed.clear()
+            assert run_check(name, 4).ok, name
+            assert len(listed) == len(set(listed)), name
+            sweep[name] = list(listed)
+        sweeps.append(sweep)
+    assert sweeps[0] == sweeps[1]
+    assert [name for name in ("thm43", "prop25", "cor26", "conj12") if sweeps[0][name]] == []
 
 
 # Each bijection check: its forward and backward maps, the reader whose
@@ -271,7 +298,7 @@ def test_unequal_groupings_fall_back_to_the_sums(monkeypatch):
     # which agree, so the sweep still passes, expanding every w's sums.
     expanded = []
     real = diagrams._expand_double
-    monkeypatch.setattr(checks, "signed_groups", lambda w, ds, double: object())
+    monkeypatch.setattr(checks, "signed_groups", lambda w, ds: object())
     monkeypatch.setattr(diagrams, "_expand_double", lambda n, g, t: expanded.append(n) or real(n, g, t))
     assert run_check("eq1-vs-cor37", 3).ok
     assert len(expanded) >= 6

@@ -10,7 +10,7 @@ from pipedreams.checks import CHECKS
 from pipedreams.construct import Step
 from pipedreams.cli import main
 from pipedreams.diagrams import DiagramError, Kind, members, sort_key
-from pipedreams.mvpd import mvpd_set, pd_to_mvpd
+from pipedreams.mvpd import pd_to_mvpd
 from pipedreams.permutations import Perm
 
 
@@ -84,8 +84,6 @@ class TestEnumerate:
         # The MVPDs are filled directly: no pipe dream is filled on the way.
         w = Perm.from_one_line([1, 2, 3, 4, 6, 5])
         want = removal_text(pipedream.pd_set(w), w)
-        mvpd_set.cache_clear()
-        pipedream.pd_set.cache_clear()
 
         def no_fill(*args, **kwargs):
             raise AssertionError("enumerate --kind mvpd filled a pd_set")
@@ -94,7 +92,6 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--kind", "mvpd", "--w", "1,2,3,4,6,5")
         assert code == 0
         assert out.strip() == want
-        assert pipedream.pd_set.cache_info().currsize == 0
 
     def test_bvpd_text(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "bvpd", "--w", "2,4,1,3")
@@ -359,8 +356,6 @@ class TestListingBudget:
         monkeypatch.setattr(diagrams, "MAX_LISTED", size - 1)
         with pytest.raises(ValueError, match=rf"\(2, 4, 1, 3\): more than {size - 1} "):
             members(species, w)
-        if kind != "bvpd":  # the PD and MVPD lists are cached, the BVPD list is not
-            cli._DIAGRAM_SETS[kind].cache_clear()
         code, out, err = run(capsys, "enumerate", "--kind", kind, "--w", "2,4,1,3")
         assert code == 2
         assert err.startswith("error:") and f"more than {size - 1} {species.value}" in err
@@ -478,10 +473,22 @@ class TestRender:
         assert err == f"error: {src}: expected 3x3 grid for PD of size 3\n"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
-        code, out, err = run(capsys, "render", "--in", str(tmp_path / "absent.json"))
+        src = tmp_path / "absent.json"
+        code, out, err = run(capsys, "render", "--in", str(src))
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {src}: ")
+        assert "Traceback" not in err
+
+    def test_an_undecodable_file_is_named(self, capsys, tmp_path):
+        # A UTF-16 byte-order mark is no UTF-8 text: the refusal names the
+        # file, as every other refusal of the reader does.
+        src = tmp_path / "bom.txt"
+        src.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "render", "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {src}: ") and "can't decode byte 0xff" in err
         assert "Traceback" not in err
 
 
